@@ -283,7 +283,7 @@ impl RegionIndex {
 
     /// [`RegionIndex::candidates_into`] with caller-owned scratch state:
     /// the reusable dense bitset, the morsel policy, and the kernel
-    /// counters ([`KernelStats`]) all live in `scratch`, so the hot path
+    /// counters ([`JoinStats`](crate::JoinStats)) all live in `scratch`, so the hot path
     /// allocates nothing per call and the executor can report which
     /// representation actually ran.
     pub fn candidates_into_with(
@@ -687,38 +687,6 @@ impl DenseCandidates {
     }
 }
 
-/// Counters of the candidate scan kernels — surfaced per query through
-/// `join_stats()` so tests and the `stats` dump can assert which
-/// mechanism actually ran (the 1-CPU bench container understates the
-/// wall-clock story).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct KernelStats {
-    /// Scan calls that ran with the dense bitset representation.
-    pub repr_dense: u64,
-    /// Scan calls that ran with the sparse list representation.
-    pub repr_sparse: u64,
-    /// 64-entry blocks processed by the dense kernel.
-    pub dense_blocks: u64,
-    /// Morsels dispatched to the worker pool (0 ⇒ every scan ran
-    /// sequentially).
-    pub morsels_dispatched: u64,
-}
-
-impl KernelStats {
-    /// Fold another sample into this one.
-    pub fn merge(&mut self, other: KernelStats) {
-        self.repr_dense += other.repr_dense;
-        self.repr_sparse += other.repr_sparse;
-        self.dense_blocks += other.dense_blocks;
-        self.morsels_dispatched += other.morsels_dispatched;
-    }
-
-    /// Take the accumulated counters, leaving zeros behind.
-    pub fn take(&mut self) -> KernelStats {
-        std::mem::take(self)
-    }
-}
-
 /// Intra-query parallelism policy for the scan kernels: how many worker
 /// threads a single candidate scan may fan out over. `threads == 1` (the
 /// default) keeps every scan sequential.
@@ -740,12 +708,12 @@ pub const MORSEL_ENTRIES: usize = 4096;
 
 /// Caller-owned scratch for [`RegionIndex::candidates_into_with`]: the
 /// reusable dense bitset, the [`MorselPolicy`], and the accumulated
-/// [`KernelStats`]. Lives inside the executor's `JoinScratch` so the
+/// kernel counters. Lives inside the executor's `JoinScratch` so the
 /// join hot path allocates nothing per iteration.
 #[derive(Clone, Debug, Default)]
 pub struct CandidateScratch {
     pub policy: MorselPolicy,
-    pub stats: KernelStats,
+    pub stats: crate::join::JoinStats,
     /// Cooperative evaluation budget, polled once per 64-entry kernel
     /// chunk and checked per morsel. `None` (the default) keeps the
     /// kernels budget-free apart from one hoisted `Option` test.
@@ -760,11 +728,11 @@ impl CandidateScratch {
     pub fn prepare<'a>(&'a mut self, sorted: &'a [u32], index_entries: u64) -> CandidateSet<'a> {
         let span = candidate_span(sorted);
         if dense_repr_preferred(sorted.len(), span, index_entries) {
-            self.stats.repr_dense += 1;
+            self.stats.candidate_repr_dense += 1;
             self.dense.fill(sorted);
             CandidateSet::Dense(&self.dense)
         } else {
-            self.stats.repr_sparse += 1;
+            self.stats.candidate_repr_sparse += 1;
             CandidateSet::Sparse(sorted)
         }
     }
@@ -830,7 +798,7 @@ fn scan_filter_into(
         // (not in the workers) to keep the counter exact under morsels.
         blocks = entries.len().div_ceil(SCAN_CHUNK) as u64;
     }
-    scratch.stats.dense_blocks += blocks;
+    scratch.stats.candidate_dense_blocks += blocks;
     scratch.stats.morsels_dispatched += morsels;
 }
 

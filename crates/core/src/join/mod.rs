@@ -24,6 +24,9 @@
 pub mod merge;
 pub mod naive;
 pub mod post;
+pub mod stats;
+
+pub use stats::{CounterDef, JoinCounters, JoinStats, Shown};
 
 use standoff_xml::Document;
 
@@ -416,10 +419,10 @@ impl JoinScratch {
     }
 
     /// Take the kernel counters accumulated since the last take
-    /// (representation choices, dense blocks, morsels dispatched),
-    /// leaving zeros behind.
-    pub fn take_kernel_stats(&mut self) -> crate::index::KernelStats {
-        self.kernel.stats.take()
+    /// (representation choices, dense and emission blocks, morsels
+    /// dispatched), leaving zeros behind.
+    pub fn take_kernel_stats(&mut self) -> JoinStats {
+        std::mem::take(&mut self.kernel.stats)
     }
 }
 
@@ -548,9 +551,9 @@ pub fn evaluate_standoff_join_with(
         }
     };
     // The merge kernels count their branch-free emission blocks in the
-    // merge scratch; fold them into the per-join kernel counters so
-    // `join_stats()` reports one `candidate_dense_blocks` total.
-    scratch.kernel.stats.dense_blocks += scratch.merge.take_blocks();
+    // merge scratch; fold them into the per-join kernel counters under
+    // their own name (`candidate_dense_blocks` is the scan kernel's).
+    scratch.kernel.stats.merge_emit_blocks += scratch.merge.take_blocks();
     // Charge what the join buffers now pin against any scratch-memory
     // cap. A trip is recorded in the budget flag; the evaluator's next
     // check surfaces it, so the partial result below is never emitted.

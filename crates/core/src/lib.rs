@@ -56,12 +56,12 @@ pub use config::{RegionRepr, StandoffConfig};
 pub use crc::{crc32, Crc32};
 pub use error::StandoffError;
 pub use index::{
-    CandidateRepr, CandidateScratch, CandidateSet, DenseCandidates, IndexStats, KernelStats,
-    MorselPolicy, RegionEntry, RegionIndex,
+    CandidateRepr, CandidateScratch, CandidateSet, DenseCandidates, IndexStats, MorselPolicy,
+    RegionEntry, RegionIndex,
 };
 pub use join::{
     evaluate_standoff_join, evaluate_standoff_join_with, IterNode, JoinInput, JoinScratch,
-    StandoffAxis, StandoffStrategy,
+    JoinStats, StandoffAxis, StandoffStrategy,
 };
 pub use obs::{Counter, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use region::{Area, Region};

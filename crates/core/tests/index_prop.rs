@@ -211,13 +211,13 @@ fn morsel_split_is_bytewise_identical() {
         let mut got = Vec::new();
         index.candidates_into_with(&candidates, &mut scratch, &mut got);
         assert_eq!(got, sequential, "threads={threads}");
-        assert_eq!(scratch.stats.repr_dense, 1, "threads={threads}");
+        assert_eq!(scratch.stats.candidate_repr_dense, 1, "threads={threads}");
         assert!(
             scratch.stats.morsels_dispatched >= 2,
             "threads={threads}: expected a real split, got {:?}",
             scratch.stats
         );
-        assert!(scratch.stats.dense_blocks > 0);
+        assert!(scratch.stats.candidate_dense_blocks > 0);
     }
 
     // threads == 1 must not spawn or split at all.

@@ -281,14 +281,26 @@ impl DeltaSet {
         Ok(n)
     }
 
-    /// The recorded mutations as a replayable op batch: retracts of
-    /// surviving keys first would be wrong (inserts could collide), so
-    /// ops come out layer by layer, inserts in order, then retracts.
-    /// Replaying them through [`DeltaSet::apply`] against the same base
-    /// reproduces this delta exactly.
+    /// The recorded mutations as a replayable op batch, layer by layer:
+    /// retracts first, then inserts in order. Every recorded retract was
+    /// validated against the same base and never matched a pending
+    /// insert, so replaying it first cannot fail — while a retract
+    /// replayed *after* the inserts would cancel a re-tagged key's
+    /// re-insert (retract K, then insert K with new attributes) instead
+    /// of hiding the base annotation. Replaying the batch through
+    /// [`DeltaSet::apply`] against the same base reproduces this delta
+    /// exactly.
     pub fn to_ops(&self) -> Vec<DeltaOp> {
         let mut out = Vec::new();
         for (layer, delta) in &self.layers {
+            for (name, start, end) in &delta.retracts {
+                out.push(DeltaOp::Retract {
+                    layer: layer.clone(),
+                    name: name.clone(),
+                    start: *start,
+                    end: *end,
+                });
+            }
             for a in &delta.inserts {
                 out.push(DeltaOp::Insert {
                     layer: layer.clone(),
@@ -296,14 +308,6 @@ impl DeltaSet {
                     start: a.start,
                     end: a.end,
                     attrs: a.attrs.clone(),
-                });
-            }
-            for (name, start, end) in &delta.retracts {
-                out.push(DeltaOp::Retract {
-                    layer: layer.clone(),
-                    name: name.clone(),
-                    start: *start,
-                    end: *end,
                 });
             }
         }
@@ -707,6 +711,39 @@ mod tests {
         assert!(ner[0] > last_w);
         // The rebuilt layer re-validated: index covers 2 + 1 annotations.
         assert_eq!(tokens.annotation_count(), 3);
+    }
+
+    /// Regression: `to_ops` used to emit a layer's inserts before its
+    /// retracts, so replaying a re-tag (retract K, insert K with new
+    /// attributes) let the retract cancel the re-insert and the
+    /// acknowledged update vanished at the next checkpoint.
+    #[test]
+    fn retag_survives_to_ops_replay() {
+        let set = sample_set();
+        let mut delta = DeltaSet::new();
+        delta.apply(retract("tokens", "w", 6, 14), &set).unwrap();
+        delta
+            .apply(
+                DeltaOp::Insert {
+                    layer: "tokens".into(),
+                    name: "w".into(),
+                    start: 6,
+                    end: 14,
+                    attrs: vec![("pos".into(), "NN".into())],
+                },
+                &set,
+            )
+            .unwrap();
+        let mut replayed = DeltaSet::new();
+        replayed.apply_all(delta.to_ops(), &set).unwrap();
+        assert_eq!(replayed.to_ops(), delta.to_ops());
+        assert_eq!((replayed.insert_count(), replayed.retract_count()), (1, 1));
+        let bytes = |d: &DeltaSet| {
+            let mut out = Vec::new();
+            crate::snapshot::write_snapshot(&compact(&set, d).unwrap(), &mut out).unwrap();
+            out
+        };
+        assert_eq!(bytes(&replayed), bytes(&delta));
     }
 
     #[test]

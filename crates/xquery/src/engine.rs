@@ -1,19 +1,21 @@
 //! The public engine API.
 //!
-//! An [`Engine`] owns a document store, a per-(document, configuration)
-//! region-index cache, and the evaluation options — most importantly the
-//! [`StandoffStrategy`] switch the paper's Figure 6 experiment sweeps.
+//! An [`Engine`] builds a corpus: it loads documents, mounts layer sets
+//! and overlays, binds external variables and sets the compile options
+//! — most importantly the [`StandoffStrategy`] switch the paper's
+//! Figure 6 experiment sweeps. Queries run on a [`Session`], the one
+//! query handle: it owns the document store, the per-(document,
+//! configuration) region-index cache and the per-query state, and it
+//! defines every query, stats and run-time method. An engine owns one
+//! session and reaches those methods through `Deref`.
 //!
 //! # Shared engines and sessions
 //!
-//! The engine splits into an immutable side — shredded documents,
-//! element-name tables, region indexes, mounted layer sets, options,
-//! external variable bindings — and per-query evaluation state (frames,
-//! iteration maps, constructed documents). [`Engine::into_shared`]
-//! freezes the immutable side behind an [`Arc`]; [`SharedEngine::session`]
-//! then stamps out cheap per-thread [`Session`]s that share the corpus
-//! but construct results privately. This is the substrate of the
-//! concurrent batch executor in [`crate::exec`].
+//! [`Engine::into_shared`] freezes the engine's session behind an
+//! [`Arc`]; [`SharedEngine::session`] then stamps out cheap per-thread
+//! copies that share the corpus (documents, element-name tables, region
+//! indexes, layer groups) but construct results privately. This is the
+//! substrate of the concurrent batch executor in [`crate::exec`].
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,12 +23,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use standoff_algebra::{Item, LlSeq};
-use standoff_core::join::JoinScratch;
+use standoff_core::join::{JoinCounters, JoinScratch};
 use standoff_core::obs::{Counter, Histogram, MetricsRegistry};
 use standoff_core::{Budget, IndexStats, RegionIndex, StandoffConfig, StandoffStrategy};
 use standoff_xml::{DocId, Document, Store};
 
-use crate::ast::Query;
 use crate::compile::{self, PlanContext};
 use crate::error::QueryError;
 use crate::eval::Evaluator;
@@ -34,6 +35,8 @@ use crate::parser::parse_query;
 use crate::plan::Plan;
 use crate::profile::{PlanProfile, QueryProfile};
 use crate::result::QueryResult;
+
+pub use standoff_core::JoinStats;
 
 /// Engine-wide evaluation options.
 ///
@@ -113,93 +116,6 @@ impl EngineOptions {
     }
 }
 
-/// Counters of the StandOff join executor's fast-path decisions, kept on
-/// the engine state and readable through [`Engine::join_stats`] /
-/// [`Session::join_stats`]. They exist so tests (and curious operators)
-/// can assert *mechanism*, not just timing: that a pushdown-guaranteed
-/// step really skipped its trailing self-axis pass, that a single-
-/// fragment scope really skipped the result sort, and which side of the
-/// candidate-intersection cost model an operator landed on.
-///
-/// # Reset semantics
-///
-/// The counters are **cumulative per [`Engine`] / per [`Session`]**,
-/// never per query: every query run on the same engine or session adds
-/// to them. A fresh [`Session`] from [`SharedEngine::session`] starts
-/// at zero — it does *not* inherit counts accumulated before the engine
-/// was frozen. To meter a single query (or any window), either call
-/// [`Engine::reset_join_stats`] first or use
-/// [`Engine::take_join_stats`] / [`Session::take_join_stats`], which
-/// returns the counts since the last take/reset and zeroes them in one
-/// step. The same events are also mirrored into the engine's
-/// [`MetricsRegistry`] under `join.*` names, where they accumulate
-/// engine-wide across all sessions.
-#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
-pub struct JoinStats {
-    /// Result merges skipped because the scope was a single fragment
-    /// (or trivially small) and the join output was already in
-    /// `(iter, document-order)`.
-    pub result_sorts_elided: u64,
-    /// Result merges that had to sort (multi-fragment / multi-layer).
-    pub result_sorts: u64,
-    /// Trailing `self::test` passes skipped (plan-guaranteed tests).
-    pub post_filters_elided: u64,
-    /// Trailing `self::test` passes executed.
-    pub post_filters: u64,
-    /// Candidate intersections taken through the node view (gather).
-    pub candidate_node_view: u64,
-    /// Candidate intersections taken as full index scans.
-    pub candidate_scans: u64,
-    /// Scan-path intersections that ran with the dense bitset
-    /// representation ([`standoff_core::CandidateRepr::Dense`]).
-    pub candidate_repr_dense: u64,
-    /// Scan-path intersections that ran with the sparse list
-    /// representation.
-    pub candidate_repr_sparse: u64,
-    /// 64-entry blocks processed by the branch-free kernels (dense
-    /// candidate scans + the merge join's single-active emission runs).
-    pub candidate_dense_blocks: u64,
-    /// Morsels dispatched to the intra-query worker pool (0 ⇒ every
-    /// scan ran sequentially — the default at `threads = 1`).
-    pub morsels_dispatched: u64,
-}
-
-impl JoinStats {
-    /// Fold another counter set into this one.
-    pub fn merge(&mut self, other: JoinStats) {
-        self.result_sorts_elided += other.result_sorts_elided;
-        self.result_sorts += other.result_sorts;
-        self.post_filters_elided += other.post_filters_elided;
-        self.post_filters += other.post_filters;
-        self.candidate_node_view += other.candidate_node_view;
-        self.candidate_scans += other.candidate_scans;
-        self.candidate_repr_dense += other.candidate_repr_dense;
-        self.candidate_repr_sparse += other.candidate_repr_sparse;
-        self.candidate_dense_blocks += other.candidate_dense_blocks;
-        self.morsels_dispatched += other.morsels_dispatched;
-    }
-
-    /// Absorb the core scan-kernel counters into the engine-level set.
-    pub fn merge_kernel(&mut self, kernel: standoff_core::KernelStats) {
-        self.candidate_repr_dense += kernel.repr_dense;
-        self.candidate_repr_sparse += kernel.repr_sparse;
-        self.candidate_dense_blocks += kernel.dense_blocks;
-        self.morsels_dispatched += kernel.morsels_dispatched;
-    }
-
-    /// Zero every counter.
-    pub fn reset(&mut self) {
-        *self = JoinStats::default();
-    }
-
-    /// Return the current counts and zero them — the "delta since last
-    /// take" primitive profiling runs use so they never inherit stale
-    /// counts.
-    pub fn take_delta(&mut self) -> JoinStats {
-        std::mem::take(self)
-    }
-}
-
 /// Pre-registered handles into an engine's [`MetricsRegistry`], created
 /// once per engine so hot paths never touch the registry's map lock.
 /// Cloning shares the underlying cells (sessions of one shared engine
@@ -210,16 +126,8 @@ pub(crate) struct MetricHandles {
     pub(crate) query_exec_ns: Histogram,
     pub(crate) mounts: Counter,
     pub(crate) mount_ns: Histogram,
-    pub(crate) join_result_sorts_elided: Counter,
-    pub(crate) join_result_sorts: Counter,
-    pub(crate) join_post_filters_elided: Counter,
-    pub(crate) join_post_filters: Counter,
-    pub(crate) join_candidate_node_view: Counter,
-    pub(crate) join_candidate_scans: Counter,
-    pub(crate) join_candidate_repr_dense: Counter,
-    pub(crate) join_candidate_repr_sparse: Counter,
-    pub(crate) join_candidate_dense_blocks: Counter,
-    pub(crate) join_morsels_dispatched: Counter,
+    /// Every `join.*` counter of the [`JoinStats`] table.
+    pub(crate) join: JoinCounters,
     pub(crate) delta_merge_reads: Counter,
 }
 
@@ -230,35 +138,9 @@ impl MetricHandles {
             query_exec_ns: registry.histogram("query.exec_ns"),
             mounts: registry.counter("engine.mounts"),
             mount_ns: registry.histogram("engine.mount_ns"),
-            join_result_sorts_elided: registry.counter("join.result_sorts_elided"),
-            join_result_sorts: registry.counter("join.result_sorts"),
-            join_post_filters_elided: registry.counter("join.post_filters_elided"),
-            join_post_filters: registry.counter("join.post_filters"),
-            join_candidate_node_view: registry.counter("join.candidate_node_view"),
-            join_candidate_scans: registry.counter("join.candidate_scans"),
-            join_candidate_repr_dense: registry.counter("join.candidate_repr_dense"),
-            join_candidate_repr_sparse: registry.counter("join.candidate_repr_sparse"),
-            join_candidate_dense_blocks: registry.counter("join.candidate_dense_blocks"),
-            join_morsels_dispatched: registry.counter("join.morsels_dispatched"),
+            join: JoinCounters::register(registry),
             delta_merge_reads: registry.counter("store.delta.merge_reads"),
         }
-    }
-
-    /// Mirror one join's stat delta into the registry counters.
-    pub(crate) fn record_join(&self, stats: &JoinStats) {
-        self.join_result_sorts_elided.add(stats.result_sorts_elided);
-        self.join_result_sorts.add(stats.result_sorts);
-        self.join_post_filters_elided.add(stats.post_filters_elided);
-        self.join_post_filters.add(stats.post_filters);
-        self.join_candidate_node_view.add(stats.candidate_node_view);
-        self.join_candidate_scans.add(stats.candidate_scans);
-        self.join_candidate_repr_dense
-            .add(stats.candidate_repr_dense);
-        self.join_candidate_repr_sparse
-            .add(stats.candidate_repr_sparse);
-        self.join_candidate_dense_blocks
-            .add(stats.candidate_dense_blocks);
-        self.join_morsels_dispatched.add(stats.morsels_dispatched);
     }
 }
 
@@ -276,13 +158,35 @@ fn elapsed_ns(start: Instant) -> u64 {
     start.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// The mutable evaluation state behind an engine or session. Cloning
-/// yields an independent state sharing the same (Arc'd) documents and
-/// region indexes — the basis of per-thread sessions.
+/// The query handle: a document store with its region indexes and
+/// mounted layer groups, the evaluation options, and the per-query
+/// state (constructed documents, join scratch, counters, profile,
+/// budget).
+///
+/// Every query, stats and run-time method lives here. An [`Engine`]
+/// owns one session and reaches these methods through `Deref`; a
+/// [`SharedEngine`] freezes one behind an [`Arc`] and stamps out
+/// per-thread copies with [`SharedEngine::session`]. A copy shares the
+/// (Arc'd) documents and region indexes and costs a pointer per shared
+/// document plus the small URI / layer maps. Queries take `&mut self`,
+/// so one worker drives a session at a time.
+///
+/// # Join counters
+///
+/// [`Session::join_stats`] is **cumulative per session**, never per
+/// query: every query run on the same session adds to it. A fresh
+/// session from [`SharedEngine::session`] starts at zero — it does
+/// *not* inherit counts accumulated before the engine was frozen. To
+/// meter one query (or any window), call [`Session::reset_join_stats`]
+/// first or use [`Session::take_join_stats`], which returns the counts
+/// since the last take/reset and zeroes them in one step. The same
+/// events are also added to the engine's [`MetricsRegistry`] under
+/// `join.*` names, where they accumulate engine-wide across all
+/// sessions.
 #[derive(Clone)]
-pub struct EngineState {
-    pub store: Store,
-    pub options: EngineOptions,
+pub struct Session {
+    pub(crate) store: Store,
+    pub(crate) options: EngineOptions,
     region_cache: HashMap<(u32, StandoffConfig), Arc<RegionIndex>>,
     /// Mounted layer groups: group id → member documents (base first).
     /// StandOff axes join across all members of a group.
@@ -305,8 +209,8 @@ pub struct EngineState {
     /// Values for `declare variable $x external` declarations.
     externals: HashMap<String, Vec<Item>>,
     /// Reusable buffers for the StandOff join hot path; lives on the
-    /// state so batch sessions reuse one allocation set across queries
-    /// (cloning a state starts the clone with cold, empty scratch).
+    /// session so batch workers reuse one allocation set across queries
+    /// (cloning a session starts the clone with cold, empty scratch).
     pub(crate) join_scratch: JoinScratch,
     /// Fast-path decision counters (see [`JoinStats`]).
     pub(crate) join_stats: JoinStats,
@@ -319,19 +223,22 @@ pub struct EngineState {
     /// The per-operator profile of the most recent profiled execution
     /// (see [`EngineOptions::profile`]).
     pub(crate) last_profile: Option<PlanProfile>,
-    /// Governance handle for the *next* executions on this state:
+    /// Governance handle for the *next* executions on this session:
     /// deadline, result-cardinality and scratch caps, cooperative
     /// cancellation. Runtime-only — never part of the options
     /// fingerprint (a governed and an ungoverned run share compiled
     /// plans), and cleared when a session is stamped out.
     pub(crate) budget: Option<Budget>,
+    /// Documents of the corpus proper; everything at or beyond this id
+    /// is query-constructed and dropped by [`Session::reset`].
+    base_docs: usize,
 }
 
-impl EngineState {
+impl Session {
     fn new(options: EngineOptions) -> Self {
         let metrics = Arc::new(MetricsRegistry::new());
         let handles = MetricHandles::new(&metrics);
-        EngineState {
+        Session {
             store: Store::new(),
             options,
             region_cache: HashMap::new(),
@@ -349,12 +256,13 @@ impl EngineState {
             handles,
             last_profile: None,
             budget: None,
+            base_docs: 0,
         }
     }
 
     /// The region index of a document under a configuration, built on
     /// first use and cached (documents are immutable).
-    pub fn region_index(
+    pub(crate) fn region_index(
         &mut self,
         doc: DocId,
         config: &StandoffConfig,
@@ -368,9 +276,9 @@ impl EngineState {
         Ok(index)
     }
 
-    /// Invalidate cache entries for documents with id ≥ `len` (paired
-    /// with [`standoff_xml::Store::truncate`]).
-    pub(crate) fn drop_cache_from(&mut self, len: usize) {
+    /// Drop documents with id ≥ `len` and their cached indexes.
+    fn truncate_docs(&mut self, len: usize) {
+        self.store.truncate(len);
         self.region_cache
             .retain(|(doc, _), _| (*doc as usize) < len);
     }
@@ -391,7 +299,7 @@ impl EngineState {
     }
 
     /// Resolve `layer("uri", "name")` to a mounted layer document.
-    pub fn layer_doc(&self, uri: &str, layer: &str) -> Option<DocId> {
+    pub(crate) fn layer_doc(&self, uri: &str, layer: &str) -> Option<DocId> {
         self.layer_lookup
             .get(&(uri.to_string(), layer.to_string()))
             .copied()
@@ -438,13 +346,13 @@ impl EngineState {
             .map(|(base, _)| DocId(*base))
     }
 
-    /// The compilation context this state offers the query compiler:
+    /// The compilation context this session offers the query compiler:
     /// current options plus statistics of every region index available
     /// right now (mounted snapshot indexes and lazily built ones).
     /// Estimates are off — execution paths don't pay for explain-only
-    /// annotations; inspection entry points flip
+    /// annotations; the explain entry points flip
     /// [`PlanContext::estimates`] on.
-    pub fn plan_context(&self) -> PlanContext<'_> {
+    pub(crate) fn plan_context(&self) -> PlanContext<'_> {
         let mut stats = IndexStats::default();
         for ((doc, _), index) in self.region_cache.iter() {
             // Overlay retractions are subtracted per index, so the
@@ -470,23 +378,34 @@ impl EngineState {
         }
     }
 
-    /// Compile a parsed query against this state (lower + optimize).
-    pub fn compile(&self, query: &Query) -> Result<Plan, QueryError> {
-        compile::compile(query, &self.plan_context())
+    /// Compile a query into its optimized plan under the current options
+    /// and index statistics — the plan cache's compile path, so the
+    /// explain-only estimate pass is skipped ([`Session::explain`] and
+    /// [`Session::run_profiled`] run it).
+    pub fn compile(&self, query: &str) -> Result<Plan, QueryError> {
+        compile::compile(&parse_query(query)?, &self.plan_context())
     }
 
-    /// Compile and evaluate a previously parsed query against this
-    /// state.
-    pub fn execute(&mut self, query: &Query) -> Result<QueryResult, QueryError> {
-        let plan = self.compile(query)?;
-        self.execute_plan(&plan)
+    /// [`Session::compile`] plus the explain-grade `estimate` pass.
+    fn compile_with_estimates(&self, query: &str) -> Result<Plan, QueryError> {
+        let mut ctx = self.plan_context();
+        ctx.estimates = true;
+        compile::compile(&parse_query(query)?, &ctx)
     }
 
-    /// Evaluate a compiled plan against this state — the single
-    /// execution entry point every query path funnels through. Always
-    /// meters `query.executions` / `query.exec_ns` in the engine's
-    /// registry; records a per-operator [`PlanProfile`] (retrievable
-    /// via `take_last_profile`) when [`EngineOptions::profile`] is on.
+    /// Render the optimized plan of a query under the current options
+    /// and corpus statistics (see [`crate::explain`]). The text is
+    /// generated from the very plan object execution would run.
+    pub fn explain(&self, query: &str) -> Result<String, QueryError> {
+        let plan = self.compile_with_estimates(query)?;
+        Ok(crate::explain::explain_plan(&plan))
+    }
+
+    /// Evaluate a compiled plan — the single execution entry point every
+    /// query path funnels through. Always meters `query.executions` /
+    /// `query.exec_ns` in the engine's registry; records a per-operator
+    /// [`PlanProfile`] (retrievable via [`Session::take_last_profile`])
+    /// when [`EngineOptions::profile`] is on.
     pub fn execute_plan(&mut self, plan: &Plan) -> Result<QueryResult, QueryError> {
         let started = Instant::now();
         // A budget that tripped before we even start (deadline already
@@ -495,7 +414,7 @@ impl EngineState {
             b.check()?;
         }
         // External variable values are cloned out first so the evaluator
-        // can borrow the state mutably.
+        // can borrow the session mutably.
         let mut external_values = Vec::with_capacity(plan.externals.len());
         for name in &plan.externals {
             let items = self.externals.get(name).cloned().ok_or_else(|| {
@@ -535,16 +454,139 @@ impl EngineState {
         Ok(QueryResult::new(items, &self.store))
     }
 
-    /// The per-operator profile of the most recent profiled execution,
-    /// consuming it. `None` unless [`EngineOptions::profile`] was on.
+    /// Parse, compile, optimize and evaluate a query; returns the
+    /// materialized result sequence.
+    pub fn run(&mut self, query: &str) -> Result<QueryResult, QueryError> {
+        let plan = self.compile(query)?;
+        self.execute_plan(&plan)
+    }
+
+    /// Evaluate a query through the *unoptimized* direct-AST lowering —
+    /// the reference path the `plan_equivalence` suite holds the
+    /// optimizer against. Not a production entry point.
+    #[doc(hidden)]
+    pub fn run_unoptimized(&mut self, query: &str) -> Result<QueryResult, QueryError> {
+        let plan = compile::lower(&parse_query(query)?, &self.plan_context())?;
+        self.execute_plan(&plan)
+    }
+
+    /// Evaluate a query and return only the result cardinality, dropping
+    /// any documents the query constructed. Benchmark harnesses use this
+    /// so repeated runs neither pay serialization costs nor accumulate
+    /// constructed results in the store.
+    pub fn run_and_discard(&mut self, query: &str) -> Result<usize, QueryError> {
+        let docs_before = self.store.len();
+        let result = self.run(query);
+        self.truncate_docs(docs_before);
+        result.map(|r| r.len())
+    }
+
+    /// Run a query with per-operator profiling forced on, returning the
+    /// result together with the executed plan and its profile. The plan
+    /// is compiled with explain-grade estimates so renderings can show
+    /// estimate-vs-actual drift.
+    pub fn run_profiled(&mut self, query: &str) -> Result<(QueryResult, QueryProfile), QueryError> {
+        let plan = Arc::new(self.compile_with_estimates(query)?);
+        let was = self.options.profile;
+        self.options.profile = true;
+        let outcome = self.execute_plan(&plan);
+        self.options.profile = was;
+        let ops = self.last_profile.take().unwrap_or_default();
+        Ok((outcome?, QueryProfile { plan, ops }))
+    }
+
+    /// `explain analyze`: execute the query with profiling and render
+    /// the plan tree annotated with measured rows/time per operator
+    /// next to the optimizer's estimates (see [`crate::explain`]).
+    pub fn explain_analyze(&mut self, query: &str) -> Result<String, QueryError> {
+        let (result, profile) = self.run_profiled(query)?;
+        let mut out = profile.render();
+        out.push_str(&format!("result: {} item(s)\n", result.len()));
+        Ok(out)
+    }
+
+    /// Drop query-constructed documents and their cached indexes,
+    /// returning the session to its post-creation state. Call between
+    /// queries to keep long-lived worker sessions from accumulating
+    /// constructed results.
+    pub fn reset(&mut self) {
+        self.truncate_docs(self.base_docs);
+    }
+
+    /// The document store: the corpus plus documents constructed by
+    /// queries since the last [`Session::reset`].
+    pub fn store(&self) -> &Store {
+        &self.store
+    }
+
+    /// Current evaluation options.
+    pub fn options(&self) -> &EngineOptions {
+        &self.options
+    }
+
+    /// The engine's metrics registry: join mechanism counters, query
+    /// execution timings, mount timings. Shared by the engine and every
+    /// session stamped out of it.
+    pub fn metrics(&self) -> &MetricsRegistry {
+        &self.metrics
+    }
+
+    /// Counters of the join executor's fast-path decisions accumulated
+    /// by queries run on this session (see the type-level docs for the
+    /// reset semantics).
+    pub fn join_stats(&self) -> JoinStats {
+        self.join_stats
+    }
+
+    /// Reset the [`JoinStats`] counters to zero.
+    pub fn reset_join_stats(&mut self) {
+        self.join_stats = JoinStats::default();
+    }
+
+    /// The [`JoinStats`] accumulated since the last take/reset, zeroing
+    /// the counters in one step.
+    pub fn take_join_stats(&mut self) -> JoinStats {
+        std::mem::take(&mut self.join_stats)
+    }
+
+    /// Enable/disable per-operator execution profiling (see
+    /// [`EngineOptions::profile`]). A pure run-time switch — compiled
+    /// and cached plans are unaffected.
+    pub fn set_profile(&mut self, enabled: bool) {
+        self.options.profile = enabled;
+    }
+
+    /// Set the intra-query morsel parallelism budget (see
+    /// [`EngineOptions::threads`]). A run-time switch: results and plans
+    /// are identical at any thread count.
+    pub fn set_threads(&mut self, threads: usize) {
+        self.options.threads = threads.max(1);
+    }
+
+    /// Install (or clear, with `None`) the governance budget for
+    /// subsequent runs: deadline, result-cardinality and scratch-memory
+    /// caps, and cooperative cancellation via [`Budget::cancel`] (keep a
+    /// clone to cancel from another thread). A run-time switch like
+    /// profiling — compiled and cached plans are unaffected, and an
+    /// exhausted budget must be replaced (budgets do not reset between
+    /// queries).
+    pub fn set_budget(&mut self, budget: Option<Budget>) {
+        self.budget = budget;
+    }
+
+    /// The per-operator profile of the most recent profiled run,
+    /// consuming it (`None` unless profiling was on).
     pub fn take_last_profile(&mut self) -> Option<PlanProfile> {
         self.last_profile.take()
     }
 }
 
-/// The XQuery engine with StandOff support.
+/// The XQuery engine with StandOff support: the builder side — loading,
+/// mounting, external bindings and compile options — over one owned
+/// [`Session`], whose query, stats and run-time methods it reaches
+/// through `Deref`.
 pub struct Engine {
-    state: EngineState,
+    session: Session,
     /// Stamp of the last corpus-shaping mutation (see
     /// [`SharedEngine::generation`]).
     generation: u64,
@@ -556,6 +598,20 @@ impl Default for Engine {
     }
 }
 
+impl std::ops::Deref for Engine {
+    type Target = Session;
+
+    fn deref(&self) -> &Session {
+        &self.session
+    }
+}
+
+impl std::ops::DerefMut for Engine {
+    fn deref_mut(&mut self) -> &mut Session {
+        &mut self.session
+    }
+}
+
 impl Engine {
     pub fn new() -> Self {
         Self::with_options(EngineOptions::default())
@@ -563,16 +619,24 @@ impl Engine {
 
     pub fn with_options(options: EngineOptions) -> Self {
         Engine {
-            state: EngineState::new(options),
+            session: Session::new(options),
             generation: fresh_generation(),
         }
+    }
+
+    /// Record a corpus-shaping mutation: a fresh generation stamp, and
+    /// everything loaded so far becomes corpus that
+    /// [`Session::reset`] keeps.
+    fn corpus_changed(&mut self) {
+        self.generation = fresh_generation();
+        self.session.base_docs = self.session.store.len();
     }
 
     /// Provide the value of a `declare variable $name external`
     /// declaration for subsequent runs.
     pub fn bind_external(&mut self, name: &str, items: Vec<Item>) {
-        self.state.externals.insert(name.to_string(), items);
-        self.generation = fresh_generation();
+        self.session.externals.insert(name.to_string(), items);
+        self.corpus_changed();
     }
 
     /// Convenience: bind an external variable to a single string.
@@ -592,87 +656,30 @@ impl Engine {
     /// silently shadowing a layer would leave `doc()` and `layer()`
     /// resolving to different documents.
     pub fn load_document(&mut self, uri: &str, xml: &str) -> Result<DocId, QueryError> {
-        if let Some(existing) = self.state.store.by_uri(uri) {
-            if self.state.layer_group_id(existing).is_some() {
+        if let Some(existing) = self.session.store.by_uri(uri) {
+            if self.session.layer_group_id(existing).is_some() {
                 return Err(QueryError::stat(format!(
                     "cannot load document: '{uri}' is a mounted store layer"
                 )));
             }
         }
-        let id = self.state.store.load(uri, xml)?;
-        self.generation = fresh_generation();
+        let id = self.session.store.load(uri, xml)?;
+        self.corpus_changed();
         Ok(id)
     }
 
     /// Register an already-shredded document.
     pub fn add_document(&mut self, doc: Document, uri: Option<&str>) -> DocId {
-        let id = self.state.store.add(doc, uri);
-        self.generation = fresh_generation();
+        let id = self.session.store.add(doc, uri);
+        self.corpus_changed();
         id
     }
 
     /// Mount a persistent layer set (typically loaded from a
-    /// `standoff-store` snapshot). Returns the base document's id.
-    ///
-    /// * the base layer registers under the set's URI, so `doc("uri")`
-    ///   resolves to it;
-    /// * every other layer registers under `uri#name` (also reachable via
-    ///   the `layer("uri", "name")` builtin);
-    /// * each layer's prebuilt region index is installed in the engine's
-    ///   cache under the layer's own configuration — the snapshot's
-    ///   indices are used as-is, never rebuilt;
-    /// * all layers of the set form one *layer group*: StandOff axis
-    ///   steps and the `select-narrow(..)` builtin family join across the
-    ///   whole group, so `entities` can be narrowed by `tokens`.
+    /// `standoff-store` snapshot) — [`Engine::mount_overlay`] with an
+    /// empty delta. Returns the base document's id.
     pub fn mount_store(&mut self, set: standoff_store::LayerSet) -> Result<DocId, QueryError> {
-        let started = Instant::now();
-        let (uri, layers) = set.into_layers();
-        // Check every URI the mount will claim — the bare store URI and
-        // each derived `uri#layer` — before touching any state, so a
-        // mount never silently rebinds an existing registration.
-        let doc_uris: Vec<String> = layers
-            .iter()
-            .enumerate()
-            .map(|(k, layer)| {
-                if k == 0 {
-                    uri.clone()
-                } else {
-                    format!("{uri}#{}", layer.name())
-                }
-            })
-            .collect();
-        for doc_uri in &doc_uris {
-            if self.state.store.by_uri(doc_uri).is_some() {
-                return Err(QueryError::stat(format!(
-                    "cannot mount store: a document is already registered at '{doc_uri}'"
-                )));
-            }
-        }
-        let group_id = self.state.layer_groups.len() as u32;
-        let mut members = Vec::with_capacity(layers.len());
-        for (layer, doc_uri) in layers.into_iter().zip(doc_uris) {
-            let (name, config, doc, index) = layer.into_parts();
-            // The document and index stay shared with the layer set (and,
-            // for mounted snapshots, with the snapshot's layer cache):
-            // mounting is pointer plumbing, not a copy of column data.
-            let id = self.state.store.add_shared(doc, Some(&doc_uri));
-            self.state
-                .region_cache
-                .insert((id.0, config.clone()), index);
-            self.state.layer_configs.insert(id.0, config);
-            self.state.layer_lookup.insert((uri.clone(), name), id);
-            self.state.doc_group.insert(id.0, group_id);
-            members.push(id);
-        }
-        let base = members[0];
-        self.state.layer_groups.push(members);
-        self.generation = fresh_generation();
-        self.state.handles.mounts.inc();
-        self.state
-            .handles
-            .mount_ns
-            .record_duration(started.elapsed());
-        Ok(base)
+        self.mount_overlay(set, &standoff_store::DeltaSet::new())
     }
 
     /// Mount every layer of a [`standoff_store::Snapshot`] — the
@@ -689,17 +696,30 @@ impl Engine {
         let set = snapshot
             .to_layer_set()
             .map_err(|e| QueryError::stat(format!("cannot mount snapshot: {e}")))?;
-        self.state
+        self.session
             .metrics
             .record("engine.snapshot_materialize_ns", elapsed_ns(started));
         self.mount_store(set)
     }
 
-    /// Mount a layer set together with a pending [`DeltaSet`] overlay —
-    /// the merge-on-read mount behind [`crate::WritableEngine`].
+    /// Mount a layer set together with a pending [`DeltaSet`](standoff_store::DeltaSet) overlay —
+    /// the merge-on-read mount behind [`crate::WritableEngine`]. Returns
+    /// the base document's id.
     ///
-    /// The base and annotation layers register exactly as in
-    /// [`Engine::mount_store`]. On top of that, per mutated layer:
+    /// * the base layer registers under the set's URI, so `doc("uri")`
+    ///   resolves to it;
+    /// * every other layer registers under `uri#name` (also reachable via
+    ///   the `layer("uri", "name")` builtin);
+    /// * each layer's prebuilt region index is installed in the engine's
+    ///   cache under the layer's own configuration — the snapshot's
+    ///   indices are used as-is, never rebuilt, and document and index
+    ///   stay shared with the layer set: mounting is pointer plumbing,
+    ///   not a copy of column data;
+    /// * all layers of the set form one *layer group*: StandOff axis
+    ///   steps and the `select-narrow(..)` builtin family join across the
+    ///   whole group, so `entities` can be narrowed by `tokens`.
+    ///
+    /// Per layer the delta mutates:
     ///
     /// * pending **inserts** materialize as a small sibling document
     ///   (`uri#layer#delta`) mounted into the same layer group,
@@ -711,21 +731,17 @@ impl Engine {
     ///   joins, tree steps and the optimizer's statistics subtract via
     ///   [`standoff_core::RegionSource`].
     ///
-    /// With an empty delta this *is* `mount_store` — same registrations,
-    /// same zero-copy index sharing, no overlay bookkeeping at all.
+    /// An empty delta adds no overlay bookkeeping at all.
     pub fn mount_overlay(
         &mut self,
         set: standoff_store::LayerSet,
         delta: &standoff_store::DeltaSet,
     ) -> Result<DocId, QueryError> {
-        if delta.is_empty() {
-            return self.mount_store(set);
-        }
         let started = Instant::now();
         let (uri, layers) = set.into_layers();
         let overlay_err =
-            |e: standoff_store::StoreError| QueryError::stat(format!("cannot mount overlay: {e}"));
-        // Per layer: registration URI, hidden pres, and the materialized
+            |e: &dyn std::fmt::Display| QueryError::stat(format!("cannot mount overlay: {e}"));
+        // Per layer: registration URI, hidden pres, and the indexed
         // insert document (if any) with its derived URI. Prepared fully
         // before any state is touched so a failed mount changes nothing.
         let mut prepared = Vec::with_capacity(layers.len());
@@ -735,139 +751,63 @@ impl Engine {
             } else {
                 format!("{uri}#{}", layer.name())
             };
-            let (retracted, insert_doc) = match delta.layer_delta(layer.name()) {
+            let (retracted, inserts) = match delta.layer_delta(layer.name()) {
                 Some(d) => (
                     d.retracted_pres(layer),
-                    d.insert_doc(layer).map_err(overlay_err)?,
+                    d.insert_doc(layer).map_err(|e| overlay_err(&e))?,
                 ),
                 None => (Vec::new(), None),
             };
-            let delta_uri = insert_doc.as_ref().map(|_| format!("{doc_uri}#delta"));
-            prepared.push((doc_uri, retracted, insert_doc, delta_uri));
+            let inserts = inserts
+                .map(|doc| -> Result<_, QueryError> {
+                    let index =
+                        RegionIndex::build(&doc, layer.config()).map_err(|e| overlay_err(&e))?;
+                    Ok((format!("{doc_uri}#delta"), Arc::new(doc), Arc::new(index)))
+                })
+                .transpose()?;
+            prepared.push((doc_uri, retracted, inserts));
         }
-        for (doc_uri, _, _, delta_uri) in &prepared {
-            for u in std::iter::once(doc_uri).chain(delta_uri.as_ref()) {
-                if self.state.store.by_uri(u).is_some() {
+        // Check every URI the mount will claim before registering any,
+        // so a mount never silently rebinds an existing registration.
+        for (doc_uri, _, inserts) in &prepared {
+            for u in std::iter::once(doc_uri).chain(inserts.as_ref().map(|(u, ..)| u)) {
+                if self.session.store.by_uri(u).is_some() {
                     return Err(QueryError::stat(format!(
                         "cannot mount store: a document is already registered at '{u}'"
                     )));
                 }
             }
         }
-        let group_id = self.state.layer_groups.len() as u32;
+        let s = &mut self.session;
+        let group_id = s.layer_groups.len() as u32;
         let mut members = Vec::with_capacity(layers.len());
-        for (layer, (doc_uri, retracted, insert_doc, delta_uri)) in layers.into_iter().zip(prepared)
-        {
-            let (name, config, doc, index) = layer.into_parts();
-            let id = self.state.store.add_shared(doc, Some(&doc_uri));
-            self.state
-                .region_cache
-                .insert((id.0, config.clone()), index);
-            self.state.layer_configs.insert(id.0, config.clone());
-            self.state.layer_lookup.insert((uri.clone(), name), id);
-            self.state.doc_group.insert(id.0, group_id);
+        let mut register = |s: &mut Session, doc, doc_uri: &str, config: &StandoffConfig, index| {
+            let id = s.store.add_shared(doc, Some(doc_uri));
+            s.region_cache.insert((id.0, config.clone()), index);
+            s.layer_configs.insert(id.0, config.clone());
+            s.doc_group.insert(id.0, group_id);
             members.push(id);
+            id
+        };
+        for (layer, (doc_uri, retracted, inserts)) in layers.into_iter().zip(prepared) {
+            let (name, config, doc, index) = layer.into_parts();
+            let id = register(s, doc, &doc_uri, &config, index);
+            s.layer_lookup.insert((uri.clone(), name), id);
             if !retracted.is_empty() {
-                self.state.retracted.insert(id.0, Arc::new(retracted));
+                s.retracted.insert(id.0, Arc::new(retracted));
             }
-            if let Some(ddoc) = insert_doc {
-                let dindex = standoff_core::RegionIndex::build(&ddoc, &config)
-                    .map_err(|e| QueryError::stat(format!("cannot mount overlay: {e}")))?;
-                let did = self
-                    .state
-                    .store
-                    .add_shared(Arc::new(ddoc), delta_uri.as_deref());
-                self.state
-                    .region_cache
-                    .insert((did.0, config.clone()), Arc::new(dindex));
-                self.state.layer_configs.insert(did.0, config);
-                self.state.doc_group.insert(did.0, group_id);
-                self.state.delta_of.insert(id.0, did);
-                self.state.delta_docs.insert(did.0);
-                members.push(did);
+            if let Some((delta_uri, doc, index)) = inserts {
+                let did = register(s, doc, &delta_uri, &config, index);
+                s.delta_of.insert(id.0, did);
+                s.delta_docs.insert(did.0);
             }
         }
         let base = members[0];
-        self.state.layer_groups.push(members);
-        self.generation = fresh_generation();
-        self.state.handles.mounts.inc();
-        self.state
-            .handles
-            .mount_ns
-            .record_duration(started.elapsed());
+        s.layer_groups.push(members);
+        s.handles.mounts.inc();
+        s.handles.mount_ns.record_duration(started.elapsed());
+        self.corpus_changed();
         Ok(base)
-    }
-
-    /// The underlying document store (documents, constructed results).
-    pub fn store(&self) -> &Store {
-        &self.state.store
-    }
-
-    /// Current evaluation options.
-    pub fn options(&self) -> &EngineOptions {
-        &self.state.options
-    }
-
-    /// Counters of the join executor's fast-path decisions accumulated
-    /// by queries run on this engine — cumulative since creation or the
-    /// last reset/take (see [`JoinStats`] for the full semantics).
-    pub fn join_stats(&self) -> JoinStats {
-        self.state.join_stats
-    }
-
-    /// Reset the [`JoinStats`] counters to zero.
-    pub fn reset_join_stats(&mut self) {
-        self.state.join_stats.reset();
-    }
-
-    /// The [`JoinStats`] accumulated since the last take/reset, zeroing
-    /// the counters (see [`JoinStats::take_delta`]).
-    pub fn take_join_stats(&mut self) -> JoinStats {
-        self.state.join_stats.take_delta()
-    }
-
-    /// The engine's metrics registry: join mechanism counters, query
-    /// execution timings, mount timings. Shared with every [`Session`]
-    /// stamped out after [`Engine::into_shared`].
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.state.metrics
-    }
-
-    /// Enable/disable per-operator execution profiling (see
-    /// [`EngineOptions::profile`]). A pure run-time switch — compiled
-    /// and cached plans are unaffected.
-    pub fn set_profile(&mut self, enabled: bool) {
-        self.state.options.profile = enabled;
-    }
-
-    /// The per-operator profile of the most recent profiled run,
-    /// consuming it (`None` unless profiling was on).
-    pub fn take_last_profile(&mut self) -> Option<PlanProfile> {
-        self.state.take_last_profile()
-    }
-
-    /// Run a query with per-operator profiling forced on, returning the
-    /// result together with the executed plan and its profile. The plan
-    /// is compiled with explain-grade estimates so renderings can show
-    /// estimate-vs-actual drift.
-    pub fn run_profiled(&mut self, query: &str) -> Result<(QueryResult, QueryProfile), QueryError> {
-        let plan = Arc::new(self.compile(query)?);
-        let was = self.state.options.profile;
-        self.state.options.profile = true;
-        let outcome = self.state.execute_plan(&plan);
-        self.state.options.profile = was;
-        let ops = self.state.last_profile.take().unwrap_or_default();
-        Ok((outcome?, QueryProfile { plan, ops }))
-    }
-
-    /// `explain analyze`: execute the query with profiling and render
-    /// the plan tree annotated with measured rows/time per operator
-    /// next to the optimizer's estimates (see [`crate::explain`]).
-    pub fn explain_analyze(&mut self, query: &str) -> Result<String, QueryError> {
-        let (result, profile) = self.run_profiled(query)?;
-        let mut out = profile.render();
-        out.push_str(&format!("result: {} item(s)\n", result.len()));
-        Ok(out)
     }
 
     /// Switch the StandOff evaluation strategy (Figure 6's independent
@@ -877,35 +817,18 @@ impl Engine {
     /// generation stamps corpus identity, while plan caches key the
     /// options separately via [`EngineOptions::fingerprint`].
     pub fn set_strategy(&mut self, strategy: StandoffStrategy) {
-        self.state.options.strategy = strategy;
+        self.session.options.strategy = strategy;
     }
 
     /// Enable/disable candidate-sequence pushdown (§4.3 ablation).
     pub fn set_candidate_pushdown(&mut self, enabled: bool) {
-        self.state.options.candidate_pushdown = enabled;
+        self.session.options.candidate_pushdown = enabled;
     }
 
     /// Enable/disable per-operator strategy selection from index
     /// statistics (see [`EngineOptions::auto_strategy`]).
     pub fn set_auto_strategy(&mut self, enabled: bool) {
-        self.state.options.auto_strategy = enabled;
-    }
-
-    /// Set the intra-query morsel parallelism budget (see
-    /// [`EngineOptions::threads`]). A run-time switch: results and plans
-    /// are identical at any thread count.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.state.options.threads = threads.max(1);
-    }
-
-    /// Install (or clear, with `None`) the governance budget for
-    /// subsequent runs on this engine: deadline, result-cardinality and
-    /// scratch-memory caps, and cooperative cancellation via
-    /// [`Budget::cancel`]. A run-time switch like profiling — compiled
-    /// and cached plans are unaffected, and an exhausted budget must be
-    /// replaced (budgets do not reset between queries).
-    pub fn set_budget(&mut self, budget: Option<Budget>) {
-        self.state.budget = budget;
+        self.session.options.auto_strategy = enabled;
     }
 
     /// Pre-build the region index for a document under a configuration
@@ -918,71 +841,13 @@ impl Engine {
         doc: DocId,
         config: &StandoffConfig,
     ) -> Result<(), QueryError> {
-        self.state.region_index(doc, config)?;
+        self.session.region_index(doc, config)?;
         Ok(())
     }
 
-    /// Parse a query without running it.
-    pub fn parse(&self, query: &str) -> Result<Query, QueryError> {
-        parse_query(query)
-    }
-
-    /// Compile a query into its optimized plan without running it —
-    /// the same pipeline [`Engine::run`] executes, plus the
-    /// explain-grade `estimate` pass [`Engine::explain`] renders.
-    pub fn compile(&self, query: &str) -> Result<Plan, QueryError> {
-        let parsed = parse_query(query)?;
-        let mut ctx = self.state.plan_context();
-        ctx.estimates = true;
-        compile::compile(&parsed, &ctx)
-    }
-
-    /// Render the optimized plan of a query under the engine's current
-    /// options and corpus statistics (see [`crate::explain`]). The text
-    /// is generated from the very plan object execution would run.
-    pub fn explain(&self, query: &str) -> Result<String, QueryError> {
-        let plan = self.compile(query)?;
-        Ok(crate::explain::explain_plan(&plan))
-    }
-
-    /// Parse, compile, optimize and evaluate a query; returns the
-    /// materialized result sequence.
-    pub fn run(&mut self, query: &str) -> Result<QueryResult, QueryError> {
-        let parsed = parse_query(query)?;
-        self.execute(&parsed)
-    }
-
-    /// Evaluate a query through the *unoptimized* direct-AST lowering —
-    /// the reference path the `plan_equivalence` suite holds the
-    /// optimizer against. Not a production entry point.
-    #[doc(hidden)]
-    pub fn run_unoptimized(&mut self, query: &str) -> Result<QueryResult, QueryError> {
-        let parsed = parse_query(query)?;
-        let plan = compile::lower(&parsed, &self.state.plan_context())?;
-        self.state.execute_plan(&plan)
-    }
-
-    /// Evaluate a query and return only the result cardinality, dropping
-    /// any documents the query constructed. Benchmark harnesses use this
-    /// so repeated runs neither pay serialization costs nor accumulate
-    /// constructed results in the store.
-    pub fn run_and_discard(&mut self, query: &str) -> Result<usize, QueryError> {
-        let parsed = parse_query(query)?;
-        let docs_before = self.state.store.len();
-        let result = self.state.execute(&parsed);
-        self.state.store.truncate(docs_before);
-        self.state.drop_cache_from(docs_before);
-        result.map(|r| r.len())
-    }
-
-    /// Evaluate a previously parsed query.
-    pub fn execute(&mut self, query: &Query) -> Result<QueryResult, QueryError> {
-        self.state.execute(query)
-    }
-
     /// The engine's current store-generation stamp: changes whenever a
-    /// corpus-shaping mutation (load, mount, rebind, reconfigure)
-    /// happens. See [`SharedEngine::generation`].
+    /// corpus-shaping mutation (load, mount, rebind) happens. See
+    /// [`SharedEngine::generation`].
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -995,42 +860,49 @@ impl Engine {
     /// base every [`Session`] evaluates against.
     pub fn into_shared(self) -> SharedEngine {
         SharedEngine {
-            core: Arc::new(self.state),
+            core: Arc::new(self.session),
             generation: self.generation,
         }
     }
 }
 
-/// The immutable side of an engine, shareable across threads.
+/// A frozen engine, shareable across threads.
 ///
 /// Cloning is one atomic increment; every clone sees the same corpus.
-/// Stamp out a [`Session`] per worker thread to evaluate queries.
+/// Read access (compile, explain, store, options, metrics) goes through
+/// `Deref` to the frozen [`Session`]; stamp out a private session per
+/// worker thread to evaluate queries.
 #[derive(Clone)]
 pub struct SharedEngine {
-    core: Arc<EngineState>,
+    core: Arc<Session>,
     generation: u64,
+}
+
+impl std::ops::Deref for SharedEngine {
+    type Target = Session;
+
+    fn deref(&self) -> &Session {
+        &self.core
+    }
 }
 
 impl SharedEngine {
     /// Create a per-thread evaluation session over the shared corpus.
     ///
-    /// The session clone costs a pointer copy per shared document plus
-    /// the (small) URI / layer maps — no document or index data is
-    /// copied. The session's [`JoinStats`] start at zero (it does not
-    /// inherit counts accumulated before the freeze); its metrics
-    /// registry is *shared* with the engine and every sibling session.
+    /// No document or index data is copied. The session's [`JoinStats`]
+    /// start at zero (it does not inherit counts accumulated before the
+    /// freeze); its metrics registry is *shared* with the engine and
+    /// every sibling session.
     pub fn session(&self) -> Session {
-        let mut state = self.core.as_ref().clone();
-        state.join_stats.reset();
-        state.last_profile = None;
+        let mut session = self.core.as_ref().clone();
+        session.join_stats = JoinStats::default();
+        session.last_profile = None;
         // Governance is per request, never inherited: a budget frozen
         // into the shared core must not govern (or cancel) every
         // future session.
-        state.budget = None;
-        Session {
-            base_docs: self.core.store.len(),
-            state,
-        }
+        session.budget = None;
+        session.base_docs = session.store.len();
+        session
     }
 
     /// The generation stamp of the frozen corpus: changes whenever the
@@ -1041,140 +913,18 @@ impl SharedEngine {
         self.generation
     }
 
-    /// The shared document store.
-    pub fn store(&self) -> &Store {
-        &self.core.store
-    }
-
-    /// The evaluation options the corpus was frozen with.
-    pub fn options(&self) -> &EngineOptions {
-        &self.core.options
-    }
-
-    /// The metrics registry shared by the originating engine and every
-    /// session over this corpus (including those of
-    /// [`SharedEngine::with_options`] variants).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.core.metrics
-    }
-
     /// The same corpus under different evaluation options — strategy
     /// sweeps over one mounted corpus without re-loading anything. The
     /// generation stamp is preserved (the corpus is identical); plan
-    /// caches distinguish the variants by options fingerprint.
+    /// caches distinguish the variants by options fingerprint. The
+    /// metrics registry stays shared.
     pub fn with_options(&self, options: EngineOptions) -> SharedEngine {
-        let mut state = self.core.as_ref().clone();
-        state.options = options;
+        let mut session = self.core.as_ref().clone();
+        session.options = options;
         SharedEngine {
-            core: Arc::new(state),
+            core: Arc::new(session),
             generation: self.generation,
         }
-    }
-
-    /// Compile a query against the frozen corpus — current options and
-    /// index statistics included. This is the plan cache's compile
-    /// path, so explain-only estimate annotations are skipped; use
-    /// [`Engine::compile`]/[`Engine::explain`] for inspection.
-    pub fn compile(&self, query: &str) -> Result<Plan, QueryError> {
-        let parsed = parse_query(query)?;
-        self.core.compile(&parsed)
-    }
-}
-
-/// A per-thread query evaluation session over a [`SharedEngine`].
-///
-/// Sessions are cheap to create, own their per-query mutable state
-/// (constructed documents, lazily built region indexes), and share the
-/// immutable corpus with every sibling session. A session is `Send` but
-/// deliberately not `Sync` — one worker drives it at a time.
-pub struct Session {
-    state: EngineState,
-    /// Shared documents at session creation; everything at or beyond
-    /// this id is session-local (query-constructed).
-    base_docs: usize,
-}
-
-impl Session {
-    /// Parse and evaluate a query.
-    pub fn run(&mut self, query: &str) -> Result<QueryResult, QueryError> {
-        let parsed = parse_query(query)?;
-        self.execute(&parsed)
-    }
-
-    /// Compile and evaluate a previously parsed query.
-    pub fn execute(&mut self, query: &Query) -> Result<QueryResult, QueryError> {
-        self.state.execute(query)
-    }
-
-    /// Evaluate a previously compiled plan (the batch executor's hot
-    /// path — compilation happened once, in the shared plan cache).
-    pub fn execute_plan(&mut self, plan: &Plan) -> Result<QueryResult, QueryError> {
-        self.state.execute_plan(plan)
-    }
-
-    /// Drop session-local constructed documents and their cached
-    /// indexes, returning the session to its post-creation state. Call
-    /// between queries to keep long-lived worker sessions from
-    /// accumulating constructed results.
-    pub fn reset(&mut self) {
-        self.state.store.truncate(self.base_docs);
-        self.state.drop_cache_from(self.base_docs);
-    }
-
-    /// The session's store view (shared base + session-local documents).
-    pub fn store(&self) -> &Store {
-        &self.state.store
-    }
-
-    /// Counters of the join executor's fast-path decisions accumulated
-    /// by queries run in this session — cumulative since session
-    /// creation or the last reset/take; a fresh session always starts
-    /// at zero (see [`JoinStats`]).
-    pub fn join_stats(&self) -> JoinStats {
-        self.state.join_stats
-    }
-
-    /// Reset the [`JoinStats`] counters to zero.
-    pub fn reset_join_stats(&mut self) {
-        self.state.join_stats.reset();
-    }
-
-    /// The [`JoinStats`] accumulated since the last take/reset, zeroing
-    /// the counters (see [`JoinStats::take_delta`]).
-    pub fn take_join_stats(&mut self) -> JoinStats {
-        self.state.join_stats.take_delta()
-    }
-
-    /// The metrics registry — shared with the engine this session came
-    /// from and all of its sibling sessions.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.state.metrics
-    }
-
-    /// Enable/disable per-operator execution profiling for this session
-    /// (see [`EngineOptions::profile`]).
-    pub fn set_profile(&mut self, enabled: bool) {
-        self.state.options.profile = enabled;
-    }
-
-    /// Set this session's intra-query morsel parallelism budget (see
-    /// [`EngineOptions::threads`]).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.state.options.threads = threads.max(1);
-    }
-
-    /// Install (or clear) the governance budget for subsequent queries
-    /// in this session (see [`Engine::set_budget`]). The governed
-    /// executor sets a fresh budget per request; keep a clone to
-    /// [`Budget::cancel`] from another thread.
-    pub fn set_budget(&mut self, budget: Option<Budget>) {
-        self.state.budget = budget;
-    }
-
-    /// The per-operator profile of the most recent profiled run in this
-    /// session, consuming it (`None` unless profiling was on).
-    pub fn take_last_profile(&mut self) -> Option<PlanProfile> {
-        self.state.take_last_profile()
     }
 }
 

@@ -32,7 +32,7 @@ use standoff_core::{IterNode, JoinInput, RegionIndex, RegionSource, StandoffConf
 use standoff_xml::{DocId, DocumentBuilder, NodeKind, NodeRef};
 
 use crate::ast::{ArithOp, CompOp};
-use crate::engine::{EngineState, JoinStats};
+use crate::engine::{JoinStats, Session};
 use crate::error::QueryError;
 use crate::functions;
 use crate::plan::*;
@@ -51,6 +51,41 @@ fn root_element_pre(doc: &standoff_xml::Document) -> u32 {
     0
 }
 
+/// Can a predicate's outcome depend on how its input is numbered? True
+/// unless the predicate is plainly boolean (a comparison, logical
+/// connective, quantifier, node path or boolean built-in) and never
+/// calls `position()` or `last()`.
+fn may_be_positional(predicate: &PlanExpr) -> bool {
+    fn local(name: &str) -> &str {
+        name.rsplit(':').next().unwrap_or(name)
+    }
+    fn numbers(e: &PlanExpr) -> bool {
+        if let PlanExpr::BuiltinCall { name, args } = e {
+            if args.is_empty() && matches!(local(name), "position" | "last") {
+                return true;
+            }
+        }
+        let mut found = false;
+        e.for_each_child(|c| found = found || numbers(c));
+        found
+    }
+    let node_step =
+        |e: &PlanExpr| matches!(e, PlanExpr::TreeStep { .. } | PlanExpr::StandoffStep { .. });
+    let boolean = match predicate {
+        PlanExpr::Comparison(..)
+        | PlanExpr::And(..)
+        | PlanExpr::Or(..)
+        | PlanExpr::Quantified { .. } => true,
+        PlanExpr::PathExpr { step, .. } => node_step(step),
+        PlanExpr::BuiltinCall { name, .. } => matches!(
+            local(name),
+            "not" | "exists" | "empty" | "boolean" | "contains" | "starts-with" | "ends-with"
+        ),
+        other => node_step(other),
+    };
+    !boolean || numbers(predicate)
+}
+
 /// One scope of the loop-lifting frame stack.
 pub struct Frame {
     /// Number of iterations of this scope.
@@ -66,7 +101,7 @@ pub struct Frame {
 }
 
 pub struct Evaluator<'e> {
-    pub engine: &'e mut EngineState,
+    pub engine: &'e mut Session,
     pub config: StandoffConfig,
     /// The plan's user-defined function table; [`PlanExpr::UdfCall`]
     /// indexes into it.
@@ -89,7 +124,7 @@ pub struct Evaluator<'e> {
 }
 
 impl<'e> Evaluator<'e> {
-    pub fn new(engine: &'e mut EngineState, config: StandoffConfig) -> Self {
+    pub fn new(engine: &'e mut Session, config: StandoffConfig) -> Self {
         Evaluator {
             engine,
             config,
@@ -830,23 +865,62 @@ impl<'e> Evaluator<'e> {
         predicates: &[PlanExpr],
     ) -> Result<LlSeq, QueryError> {
         let ctx = self.context_nodes(input)?;
-        let (ctx, expanded) = self.expand_delta_contexts(ctx, axis);
-        // `test` is plan memory (see `name_cache`), so resolution is
-        // memoized per document across re-executions of this step.
-        let result = standoff_algebra::staircase::ll_step_cached(
-            &self.engine.store,
-            &ctx,
-            axis,
-            test,
-            &mut self.name_cache,
-        );
-        let result = self.filter_retracted(result);
-        let result = self.fold_delta_scaffolding(result, axis, expanded);
-        let mut table = result.into_llseq();
-        for predicate in predicates {
-            table = self.apply_predicate(table, predicate)?;
+        self.step_with_predicates(ctx, predicates, |this, ctx| {
+            let (ctx, expanded) = this.expand_delta_contexts(ctx, axis);
+            // `test` is plan memory (see `name_cache`), so resolution is
+            // memoized per document across re-executions of this step.
+            let result = standoff_algebra::staircase::ll_step_cached(
+                &this.engine.store,
+                &ctx,
+                axis,
+                test,
+                &mut this.name_cache,
+            );
+            let result = this.filter_retracted(result);
+            Ok(this.fold_delta_scaffolding(result, axis, expanded))
+        })
+    }
+
+    /// Run a step over `ctx`, then its predicates. A positional
+    /// predicate numbers the step's output per *context node* (`a/b[1]`
+    /// is the first `b` of each `a`), so when one may be positional and
+    /// some iteration has several context nodes, the step runs with one
+    /// scope iteration per context row, and the rows merge back into
+    /// their outer iterations in document order without duplicates.
+    fn step_with_predicates(
+        &mut self,
+        ctx: NodeTable,
+        predicates: &[PlanExpr],
+        step: impl FnOnce(&mut Self, NodeTable) -> Result<NodeTable, QueryError>,
+    ) -> Result<LlSeq, QueryError> {
+        let run = |this: &mut Self, ctx: NodeTable| -> Result<LlSeq, QueryError> {
+            let mut table = step(this, ctx)?.into_llseq();
+            for predicate in predicates {
+                table = this.apply_predicate(table, predicate)?;
+            }
+            Ok(table)
+        };
+        let shared_context = ctx.iters().windows(2).any(|w| w[0] == w[1]);
+        if !shared_context || !predicates.iter().any(may_be_positional) {
+            return run(self, ctx);
         }
-        Ok(table)
+        let map = ctx.iters().to_vec();
+        let mut rows = NodeTable::with_capacity(ctx.len());
+        for (k, node) in ctx.nodes().iter().enumerate() {
+            rows.push(k as u32, *node);
+        }
+        self.frames.push(Frame {
+            n_iters: map.len() as u32,
+            map: Some(map.clone()),
+            vars: HashMap::new(),
+            barrier: false,
+        });
+        let result = run(self, rows);
+        self.frames.pop();
+        let mut nodes =
+            NodeTable::from_llseq(&result?.unrestrict(&map)).map_err(QueryError::dynamic)?;
+        nodes.normalize(&self.engine.store);
+        Ok(nodes.into_llseq())
     }
 
     /// Merge-on-read, navigation half: a mounted overlay keeps a layer's
@@ -988,12 +1062,9 @@ impl<'e> Evaluator<'e> {
         prof_key: usize,
     ) -> Result<LlSeq, QueryError> {
         let ctx = self.context_nodes(input)?;
-        let result = self.eval_standoff_join(&ctx, op, test, None, prof_key)?;
-        let mut table = result.into_llseq();
-        for predicate in predicates {
-            table = self.apply_predicate(table, predicate)?;
-        }
-        Ok(table)
+        self.step_with_predicates(ctx, predicates, |this, ctx| {
+            this.eval_standoff_join(&ctx, op, test, None, prof_key)
+        })
     }
 
     /// The StandOff configuration in effect for a document: a mounted
@@ -1251,10 +1322,10 @@ impl<'e> Evaluator<'e> {
             }
             Ok(())
         })();
-        // Fold the scan-kernel counters (representation choices, dense
-        // blocks, morsels) accumulated inside the join calls into this
-        // operator's stat delta before the scratch goes back.
-        stats.merge_kernel(scratch.take_kernel_stats());
+        // Fold the kernel counters (representation choices, scan and
+        // emission blocks, morsels) accumulated inside the join calls
+        // into this operator's stat delta before the scratch goes back.
+        stats.merge(scratch.take_kernel_stats());
         self.engine.join_scratch = scratch;
         joined?;
         // Merge per-document results: sort by (iter, doc order) with the
@@ -1290,7 +1361,7 @@ impl<'e> Evaluator<'e> {
         }
         // Single fold point: engine counters, registry mirror, and —
         // when profiling — the operator's JoinExec detail.
-        self.engine.handles.record_join(&stats);
+        self.engine.handles.join.record(&stats);
         if merge_reads > 0 {
             self.engine.handles.delta_merge_reads.add(merge_reads);
         }

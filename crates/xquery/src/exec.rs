@@ -405,20 +405,10 @@ impl Executor {
         &self,
         queries: &[S],
     ) -> Vec<Result<QueryResult, QueryError>> {
-        match guard_panic(
-            || {
-                self.run_batch_impl(queries, false, |exec, session, text| {
-                    exec.run_one(session, text)
-                })
-            },
-            "batch worker pool",
-        ) {
-            Ok(results) => results,
-            // Pool machinery died (per-query panics are already caught
-            // inside run_one): fail the whole batch explicitly rather
-            // than return anything incomplete.
-            Err(e) => queries.iter().map(|_| Err(e.clone())).collect(),
-        }
+        self.run_batch_impl(queries, false)
+            .into_iter()
+            .map(|r| r.map(|(result, _)| result))
+            .collect()
     }
 
     /// [`Executor::run_batch`] with per-operator profiling: every
@@ -429,17 +419,7 @@ impl Executor {
         &self,
         queries: &[S],
     ) -> Vec<Result<(QueryResult, QueryProfile), QueryError>> {
-        match guard_panic(
-            || {
-                self.run_batch_impl(queries, true, |exec, session, text| {
-                    exec.run_one_profiled(session, text)
-                })
-            },
-            "batch worker pool",
-        ) {
-            Ok(results) => results,
-            Err(e) => queries.iter().map(|_| Err(e.clone())).collect(),
-        }
+        self.run_batch_impl(queries, true)
     }
 
     /// The shared batch driver: fan `queries` out over the workers via
@@ -447,15 +427,14 @@ impl Executor {
     /// order-preserving pool the join morsel kernels use — recording
     /// queue metrics (`executor.*`) into the engine registry per pick.
     /// Returns one result per query in submission order: a panicked
-    /// pool worker re-raises on this thread (the callers above convert
-    /// it), so an incomplete result vector can never be observed. Under
-    /// a governing policy every query runs with its own fresh budget.
-    fn run_batch_impl<S, T, F>(&self, queries: &[S], profile: bool, run_fn: F) -> Vec<T>
-    where
-        S: AsRef<str> + Sync,
-        T: Send,
-        F: Fn(&Executor, &mut Session, &str) -> T + Sync,
-    {
+    /// pool worker re-raises on this thread and fails the whole batch,
+    /// so an incomplete result vector can never be observed. Under a
+    /// governing policy every query runs with its own fresh budget.
+    fn run_batch_impl<S: AsRef<str> + Sync>(
+        &self,
+        queries: &[S],
+        profile: bool,
+    ) -> Vec<Result<(QueryResult, QueryProfile), QueryError>> {
         if queries.is_empty() {
             return Vec::new();
         }
@@ -473,23 +452,33 @@ impl Executor {
             queue_wait.record(started.elapsed().as_nanos().min(u64::MAX as u128) as u64);
             queue_depth.record((queries.len() - k - 1) as u64);
         };
-        standoff_core::par::scatter(
-            queries.len(),
-            self.threads,
-            || {
-                let mut session = self.engine.session();
-                session.set_profile(profile);
-                session
-            },
-            |session, k| {
-                picked(k);
-                // Per-query budget under governance: the deadline clock
-                // starts when a worker picks the query up, mirroring the
-                // admission-anchored clock of the serve path.
-                session.set_budget(self.governance.fresh_budget());
-                run_fn(self, session, queries[k].as_ref())
-            },
-        )
+        let pool = || {
+            standoff_core::par::scatter(
+                queries.len(),
+                self.threads,
+                || {
+                    let mut session = self.engine.session();
+                    session.set_profile(profile);
+                    session
+                },
+                |session, k| {
+                    picked(k);
+                    // Per-query budget under governance: the deadline
+                    // clock starts when a worker picks the query up,
+                    // mirroring the admission-anchored clock of the
+                    // serve path.
+                    session.set_budget(self.governance.fresh_budget());
+                    self.run_one(session, queries[k].as_ref())
+                },
+            )
+        };
+        match guard_panic(pool, "batch worker pool") {
+            Ok(results) => results,
+            // Pool machinery died (per-query panics are already caught
+            // inside run_one): fail the whole batch explicitly rather
+            // than return anything incomplete.
+            Err(e) => queries.iter().map(|_| Err(e.clone())).collect(),
+        }
     }
 
     /// Evaluate one request under this executor's [`Governance`]: admit
@@ -512,7 +501,7 @@ impl Executor {
         let _permit = self.admit()?;
         let mut session = self.engine.session();
         session.set_budget(budget);
-        self.run_one(&mut session, text)
+        self.run_one(&mut session, text).map(|(result, _)| result)
     }
 
     /// Reserve an admission slot, shedding on a full queue. The permit
@@ -551,41 +540,18 @@ impl Executor {
     }
 
     /// Evaluate one query in an existing session, converting any panic
-    /// into [`QueryError::Internal`] and leaving the session clean.
-    fn run_one(&self, session: &mut Session, text: &str) -> Result<QueryResult, QueryError> {
-        // Chaos hook, post-admission: a Delay here holds the request's
-        // queue slot open so tests can race sheds, unmounts and drains
-        // into the window deterministically.
-        standoff_core::fault::point("executor.query");
-        let plan = self.cache.get_or_compile(text, &self.engine)?;
-        let outcome = guard_panic(|| session.execute_plan(&plan), "query evaluation");
-        let result = match outcome {
-            Ok(result) => {
-                session.reset();
-                result
-            }
-            Err(e) => {
-                // The session may hold arbitrary partial state after an
-                // unwind; rebuild it from the shared corpus.
-                *session = self.engine.session();
-                Err(e)
-            }
-        };
-        if matches!(result, Err(QueryError::Timeout)) {
-            self.gov.timeouts.inc();
-        }
-        result
-    }
-
-    /// [`Executor::run_one`] with the session's recorded profile
-    /// attached to the result. The session is assumed to have profiling
-    /// enabled (the batch driver did it); a rebuilt-after-panic session
-    /// re-enables it.
-    fn run_one_profiled(
+    /// into [`QueryError::Internal`] and leaving the session clean. The
+    /// profile is the session's recording — empty unless the session
+    /// runs with profiling on.
+    fn run_one(
         &self,
         session: &mut Session,
         text: &str,
     ) -> Result<(QueryResult, QueryProfile), QueryError> {
+        // Chaos hook, post-admission: a Delay here holds the request's
+        // queue slot open so tests can race sheds, unmounts and drains
+        // into the window deterministically.
+        standoff_core::fault::point("executor.query");
         let plan = self.cache.get_or_compile(text, &self.engine)?;
         let outcome = guard_panic(|| session.execute_plan(&plan), "query evaluation");
         let result = match outcome {
@@ -595,8 +561,12 @@ impl Executor {
                 result.map(|r| (r, QueryProfile { plan, ops }))
             }
             Err(e) => {
+                // The session may hold arbitrary partial state after an
+                // unwind; rebuild it from the shared corpus, keeping its
+                // profiling switch.
+                let profiling = session.options().profile;
                 *session = self.engine.session();
-                session.set_profile(true);
+                session.set_profile(profiling);
                 Err(e)
             }
         };

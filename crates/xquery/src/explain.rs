@@ -15,7 +15,8 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use standoff_core::StandoffStrategy;
+use standoff_core::join::Shown;
+use standoff_core::{JoinStats, StandoffStrategy};
 
 use crate::plan::*;
 use crate::profile::{fmt_ns, operator_ids, PlanProfile};
@@ -92,34 +93,27 @@ impl AnalyzeCtx<'_> {
         if let Some(j) = &m.join {
             let _ = write!(
                 note,
-                " | join ctx={} cands={} (max {}) node-view={} scan={} sorts={} (elided {}) post={} (elided {})",
-                j.ctx_rows,
-                j.cand_rows,
-                j.cand_max,
-                j.stats.candidate_node_view,
-                j.stats.candidate_scans,
-                j.stats.result_sorts,
-                j.stats.result_sorts_elided,
-                j.stats.post_filters,
-                j.stats.post_filters_elided,
+                " | join ctx={} cands={} (max {})",
+                j.ctx_rows, j.cand_rows, j.cand_max,
             );
-            // Scan-kernel detail: which candidate representation the
-            // scans ran with, branch-free blocks, and morsel dispatch.
-            // Gated on nonzero so gather-only lines render unchanged.
-            if j.stats.candidate_repr_dense
-                + j.stats.candidate_repr_sparse
-                + j.stats.candidate_dense_blocks
-                + j.stats.morsels_dispatched
-                > 0
-            {
-                let _ = write!(
-                    note,
-                    " repr dense={} sparse={} blocks={} morsels={}",
-                    j.stats.candidate_repr_dense,
-                    j.stats.candidate_repr_sparse,
-                    j.stats.candidate_dense_blocks,
-                    j.stats.morsels_dispatched,
-                );
+            // The counter table decides each counter's place: always,
+            // with the scan-kernel group (shown once any of it is
+            // nonzero, so gather-only lines stay short), or only when
+            // nonzero itself.
+            let values = j.stats.values();
+            let kernel_ran = JoinStats::COUNTERS
+                .iter()
+                .zip(values)
+                .any(|(def, v)| def.shown == Shown::Kernel && v > 0);
+            for (def, value) in JoinStats::COUNTERS.iter().zip(values) {
+                let show = match def.shown {
+                    Shown::Always => true,
+                    Shown::Kernel => kernel_ran,
+                    Shown::NonZero => value > 0,
+                };
+                if show {
+                    note.push_str(&def.render(value));
+                }
             }
             // Only an overlay mount can make these nonzero; pure
             // snapshots keep the historical analyze line untouched.

@@ -63,7 +63,7 @@ pub struct JoinExec {
 }
 
 /// Per-operator measurements of one executed plan, keyed by operator
-/// identity. Obtain one via [`crate::Engine::run_profiled`] /
+/// identity. Obtain one via [`crate::Session::run_profiled`] /
 /// [`crate::Session::take_last_profile`].
 #[derive(Clone, Debug, Default)]
 pub struct PlanProfile {
@@ -143,27 +143,13 @@ impl QueryProfile {
             if let Some(j) = &m.join {
                 out.push_str(&format!(
                     ", \"join\": {{\"ctx_rows\": {}, \"cand_rows\": {}, \"cand_max\": {}, \
-                     \"delta_cand_rows\": {}, \"merge_reads\": {}, \
-                     \"node_view\": {}, \"scans\": {}, \
-                     \"repr_dense\": {}, \"repr_sparse\": {}, \
-                     \"dense_blocks\": {}, \"morsels\": {}, \"result_sorts\": {}, \
-                     \"result_sorts_elided\": {}, \"post_filters\": {}, \"post_filters_elided\": {}}}",
-                    j.ctx_rows,
-                    j.cand_rows,
-                    j.cand_max,
-                    j.delta_cand_rows,
-                    j.merge_reads,
-                    j.stats.candidate_node_view,
-                    j.stats.candidate_scans,
-                    j.stats.candidate_repr_dense,
-                    j.stats.candidate_repr_sparse,
-                    j.stats.candidate_dense_blocks,
-                    j.stats.morsels_dispatched,
-                    j.stats.result_sorts,
-                    j.stats.result_sorts_elided,
-                    j.stats.post_filters,
-                    j.stats.post_filters_elided
+                     \"delta_cand_rows\": {}, \"merge_reads\": {}",
+                    j.ctx_rows, j.cand_rows, j.cand_max, j.delta_cand_rows, j.merge_reads
                 ));
+                for (def, value) in JoinStats::COUNTERS.iter().zip(j.stats.values()) {
+                    out.push_str(&format!(", \"{}\": {value}", def.json));
+                }
+                out.push('}');
             }
             if let PlanExpr::StandoffStep { op, .. } | PlanExpr::StandoffFn { op, .. } = expr {
                 if let Some(est) = &op.estimate {

@@ -230,6 +230,23 @@ fn path_navigation() {
         run(&mut e, r#"doc("sample.xml")//shot[position() = 2]/@id"#),
         ["Interview"]
     );
+    // Positional predicates number per context node: the first `b` of
+    // *each* `a`, for tree and StandOff steps alike.
+    e.load_document("n.xml", "<r><a><b/><b/></a><a><b/><b/></a></r>")
+        .unwrap();
+    assert_eq!(run(&mut e, r#"count(doc("n.xml")/r/a/b[1])"#), ["2"]);
+    assert_eq!(run(&mut e, r#"count(doc("n.xml")/r/a/b[last()])"#), ["2"]);
+    e.load_document(
+        "so.xml",
+        r#"<d><s start="0" end="9"/><s start="10" end="19"/>
+             <w start="0" end="3"/><w start="4" end="9"/>
+             <w start="10" end="13"/><w start="14" end="19"/></d>"#,
+    )
+    .unwrap();
+    assert_eq!(
+        run(&mut e, r#"doc("so.xml")//s/select-narrow::w[1]/@start"#),
+        ["0", "10"]
+    );
 }
 
 #[test]

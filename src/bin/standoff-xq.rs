@@ -68,7 +68,7 @@ use standoff::core::{StandoffConfig, StandoffStrategy};
 use standoff::serve::{self, ServeMount, ServeOptions, Server};
 use standoff::store::{
     atomic_write, ops_to_text, parse_ops, save_snapshot, wal_path, write_snapshot_legacy, DeltaSet,
-    DeltaWal, LayerSet, Snapshot,
+    DeltaWal, LayerSet, Snapshot, WalRecord,
 };
 use standoff::xquery::{Engine, EngineOptions, Executor, Governance};
 
@@ -283,34 +283,58 @@ fn load_delta(sidecars: &[&String], set: &LayerSet) -> Result<DeltaSet, String> 
     for path in sidecars {
         let wal_file = wal_path(std::path::Path::new(path));
         let have_wal = wal_file.exists();
-        let mut checkpointed = 0;
-        match std::fs::read_to_string(path) {
-            Ok(text) => {
-                checkpointed = standoff::store::checkpointed_seq(&text);
-                let ops = parse_ops(&text).map_err(|e| format!("{path}: {e}"))?;
-                delta
-                    .apply_all(ops, set)
-                    .map_err(|e| format!("{path}: {e}"))?;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound && have_wal => {}
-            Err(e) => return Err(format!("cannot read {path}: {e}")),
-        }
+        let checkpointed = apply_checkpoint(&mut delta, set, path, have_wal)?;
         if have_wal {
             let scan =
                 DeltaWal::scan(&wal_file).map_err(|e| format!("{}: {e}", wal_file.display()))?;
-            // Records at or below the checkpoint mark are already part
-            // of the sidecar text (a checkpoint landed but its journal
-            // truncation didn't): replaying them would double-apply.
-            for record in scan.records.iter().filter(|r| r.seq > checkpointed) {
-                let ops = parse_ops(&record.ops)
-                    .map_err(|e| format!("{} record {}: {e}", wal_file.display(), record.seq))?;
-                delta
-                    .apply_all(ops, set)
-                    .map_err(|e| format!("{} record {}: {e}", wal_file.display(), record.seq))?;
-            }
+            apply_journal(&mut delta, set, &wal_file, &scan.records, checkpointed)?;
         }
     }
     Ok(delta)
+}
+
+/// The checkpoint half of a sidecar replay: apply the sidecar's ops to
+/// `delta` and return its journal mark. A missing sidecar is an error
+/// unless `missing_ok` (nothing checkpointed yet, mark 0).
+fn apply_checkpoint(
+    delta: &mut DeltaSet,
+    set: &LayerSet,
+    path: &str,
+    missing_ok: bool,
+) -> Result<u64, String> {
+    match std::fs::read_to_string(path) {
+        Ok(text) => {
+            let ops = parse_ops(&text).map_err(|e| format!("{path}: {e}"))?;
+            delta
+                .apply_all(ops, set)
+                .map_err(|e| format!("{path}: {e}"))?;
+            Ok(standoff::store::checkpointed_seq(&text))
+        }
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound && missing_ok => Ok(0),
+        Err(e) => Err(format!("cannot read {path}: {e}")),
+    }
+}
+
+/// The journal half of a sidecar replay: apply the committed WAL
+/// records above the checkpoint mark. Records at or below it are
+/// already part of the sidecar text (a checkpoint landed but its
+/// journal truncation didn't): replaying them would double-apply.
+fn apply_journal(
+    delta: &mut DeltaSet,
+    set: &LayerSet,
+    wal_file: &std::path::Path,
+    records: &[WalRecord],
+    checkpointed: u64,
+) -> Result<(), String> {
+    for record in records.iter().filter(|r| r.seq > checkpointed) {
+        let at = |e: standoff::store::StoreError| {
+            format!("{} record {}: {e}", wal_file.display(), record.seq)
+        };
+        delta
+            .apply_all(parse_ops(&record.ops).map_err(at)?, set)
+            .map_err(at)?;
+    }
+    Ok(())
 }
 
 /// `annotate`: apply a batch of insert/retract ops to a snapshot's
@@ -370,37 +394,13 @@ fn cmd_annotate(argv: &[String]) -> Result<ExitCode, String> {
     // yet), then committed WAL batches on top. Writer-mode open also
     // truncates any torn tail a crashed writer left behind.
     let mut delta = DeltaSet::new();
-    let mut checkpointed = 0;
-    if std::path::Path::new(&sidecar).exists() {
-        let text =
-            std::fs::read_to_string(&sidecar).map_err(|e| format!("cannot read {sidecar}: {e}"))?;
-        checkpointed = standoff::store::checkpointed_seq(&text);
-        let ops = parse_ops(&text).map_err(|e| format!("{sidecar}: {e}"))?;
-        delta
-            .apply_all(ops, &set)
-            .map_err(|e| format!("{sidecar}: {e}"))?;
-    }
+    let checkpointed = apply_checkpoint(&mut delta, &set, &sidecar, true)?;
     let wal_file = wal_path(std::path::Path::new(&sidecar));
     let (mut wal, replayed) =
         DeltaWal::open(&wal_file).map_err(|e| format!("{}: {e}", wal_file.display()))?;
     wal.ensure_seq_above(checkpointed);
-    for record in replayed.iter().filter(|r| r.seq > checkpointed) {
-        let ops = parse_ops(&record.ops)
-            .map_err(|e| format!("{} record {}: {e}", wal_file.display(), record.seq))?;
-        delta
-            .apply_all(ops, &set)
-            .map_err(|e| format!("{} record {}: {e}", wal_file.display(), record.seq))?;
-    }
-    let text = if ops_path == "-" {
-        use std::io::Read;
-        let mut buf = String::new();
-        std::io::stdin()
-            .read_to_string(&mut buf)
-            .map_err(|e| format!("cannot read stdin: {e}"))?;
-        buf
-    } else {
-        std::fs::read_to_string(&ops_path).map_err(|e| format!("cannot read {ops_path}: {e}"))?
-    };
+    apply_journal(&mut delta, &set, &wal_file, &replayed, checkpointed)?;
+    let text = read_input(&ops_path)?;
     let ops = parse_ops(&text).map_err(|e| format!("{ops_path}: {e}"))?;
     let applied = delta
         .apply_all(ops.iter().cloned(), &set)
@@ -892,6 +892,31 @@ impl CorpusArgs {
     }
 }
 
+/// The contents of an input file argument, or stdin for `-`.
+fn read_input(path: &str) -> Result<String, String> {
+    if path == "-" {
+        use std::io::Read;
+        let mut buf = String::new();
+        std::io::stdin()
+            .read_to_string(&mut buf)
+            .map_err(|e| format!("cannot read stdin: {e}"))?;
+        Ok(buf)
+    } else {
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
+    }
+}
+
+/// The value of `--threads`/`-j` at `argv[*k]`: a positive integer.
+/// `*k` is left on the value, like [`CorpusArgs::try_consume`].
+fn parse_threads(argv: &[String], k: &mut usize) -> Result<usize, String> {
+    *k += 1;
+    let n = argv.get(*k).ok_or("--threads needs a count")?;
+    n.parse::<usize>()
+        .ok()
+        .filter(|&n| n >= 1)
+        .ok_or_else(|| format!("bad --threads '{n}', expected a positive integer"))
+}
+
 // ---- resource-governance flags (query + batch + serve) ----
 
 /// Per-request resource caps, shared by `query`, `batch` and `serve`.
@@ -970,14 +995,7 @@ fn parse_query_args(argv: &[String]) -> Result<QueryArgs, String> {
                 k += 1;
                 query = Some(argv.get(k).ok_or("--query needs an argument")?.clone());
             }
-            "--threads" | "-j" => {
-                k += 1;
-                let n = argv.get(k).ok_or("--threads needs a count")?;
-                threads =
-                    n.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        format!("bad --threads '{n}', expected a positive integer")
-                    })?;
-            }
+            "--threads" | "-j" => threads = parse_threads(argv, &mut k)?,
             "--query-file" => {
                 k += 1;
                 let path = argv.get(k).ok_or("--query-file needs a path")?;
@@ -1031,35 +1049,21 @@ fn cmd_query(argv: &[String]) -> Result<ExitCode, String> {
     }
     // Profiled runs share the execution: one query, result on stdout,
     // measurements on stderr (stdout stays result-clean for pipelines).
-    if args.profile || args.profile_json {
-        let start = Instant::now();
-        return match engine.run_profiled(&args.query) {
-            Ok((result, profile)) => {
-                if args.profile {
-                    eprint!("{}", profile.render());
-                }
-                if args.profile_json {
-                    eprintln!("{}", profile.to_json());
-                }
-                if args.time {
-                    eprintln!(
-                        "# {} item(s) in {:?} (load {:?})",
-                        result.len(),
-                        start.elapsed(),
-                        load_elapsed
-                    );
-                }
-                println!("{}", result.as_xml());
-                Ok(ExitCode::SUCCESS)
-            }
-            Err(e) => {
-                eprintln!("standoff-xq: {e}");
-                Ok(ExitCode::FAILURE)
-            }
-        };
-    }
     let start = Instant::now();
-    match engine.run(&args.query) {
+    let outcome = if args.profile || args.profile_json {
+        engine.run_profiled(&args.query).map(|(result, profile)| {
+            if args.profile {
+                eprint!("{}", profile.render());
+            }
+            if args.profile_json {
+                eprintln!("{}", profile.to_json());
+            }
+            result
+        })
+    } else {
+        engine.run(&args.query)
+    };
+    match outcome {
         Ok(result) => {
             if args.time {
                 eprintln!(
@@ -1126,14 +1130,7 @@ fn cmd_batch(argv: &[String]) -> Result<ExitCode, String> {
             continue;
         }
         match argv[k].as_str() {
-            "--threads" | "-j" => {
-                k += 1;
-                let n = argv.get(k).ok_or("--threads needs a count")?;
-                threads =
-                    n.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        format!("bad --threads '{n}', expected a positive integer")
-                    })?;
-            }
+            "--threads" | "-j" => threads = parse_threads(argv, &mut k)?,
             "--time" => time = true,
             "--profile" => profile = true,
             "--profile-json" => profile_json = true,
@@ -1152,17 +1149,7 @@ fn cmd_batch(argv: &[String]) -> Result<ExitCode, String> {
         k += 1;
     }
     let queries_path = queries_path.ok_or("batch: no queries file given ('-' for stdin)")?;
-    let text = if queries_path == "-" {
-        use std::io::Read;
-        let mut buf = String::new();
-        std::io::stdin()
-            .read_to_string(&mut buf)
-            .map_err(|e| format!("cannot read stdin: {e}"))?;
-        buf
-    } else {
-        std::fs::read_to_string(&queries_path)
-            .map_err(|e| format!("cannot read {queries_path}: {e}"))?
-    };
+    let text = read_input(&queries_path)?;
     let queries = split_queries(&text);
     if queries.is_empty() {
         return Err(format!("{queries_path}: no queries found"));
@@ -1183,24 +1170,20 @@ fn cmd_batch(argv: &[String]) -> Result<ExitCode, String> {
     // Profiled batches run the same scheduler; results print to stdout
     // as usual, per-query profiles to stderr keyed by submission index.
     let results = if profile || profile_json {
-        let profiled = executor.run_batch_profiled(&queries);
-        let mut results = Vec::with_capacity(profiled.len());
-        for (k, r) in profiled.into_iter().enumerate() {
-            match r {
-                Ok((result, prof)) => {
-                    if profile {
-                        eprintln!("# query {k}");
-                        eprint!("{}", prof.render());
-                    }
-                    if profile_json {
-                        eprintln!("{}", prof.to_json());
-                    }
-                    results.push(Ok(result));
+        let profiled = executor.run_batch_profiled(&queries).into_iter();
+        let results = profiled.enumerate().map(|(k, r)| {
+            r.map(|(result, prof)| {
+                if profile {
+                    eprintln!("# query {k}");
+                    eprint!("{}", prof.render());
                 }
-                Err(e) => results.push(Err(e)),
-            }
-        }
-        results
+                if profile_json {
+                    eprintln!("{}", prof.to_json());
+                }
+                result
+            })
+        });
+        results.collect()
     } else {
         executor.run_batch(&queries)
     };
@@ -1255,14 +1238,7 @@ fn cmd_stats(argv: &[String]) -> Result<ExitCode, String> {
             continue;
         }
         match argv[k].as_str() {
-            "--threads" | "-j" => {
-                k += 1;
-                let n = argv.get(k).ok_or("--threads needs a count")?;
-                threads =
-                    n.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        format!("bad --threads '{n}', expected a positive integer")
-                    })?;
-            }
+            "--threads" | "-j" => threads = parse_threads(argv, &mut k)?,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return Ok(ExitCode::SUCCESS);
@@ -1282,16 +1258,7 @@ fn cmd_stats(argv: &[String]) -> Result<ExitCode, String> {
     let executor = Executor::new(engine.into_shared(), threads);
     let mut failures = 0usize;
     if let Some(path) = &queries_path {
-        let text = if path == "-" {
-            use std::io::Read;
-            let mut buf = String::new();
-            std::io::stdin()
-                .read_to_string(&mut buf)
-                .map_err(|e| format!("cannot read stdin: {e}"))?;
-            buf
-        } else {
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?
-        };
+        let text = read_input(path)?;
         let queries = split_queries(&text);
         for (k, result) in executor.run_batch(&queries).iter().enumerate() {
             if let Err(e) = result {
@@ -1363,14 +1330,7 @@ fn cmd_serve(argv: &[String]) -> Result<ExitCode, String> {
                 k += 1;
                 listen = argv.get(k).ok_or("--listen needs HOST:PORT")?.clone();
             }
-            "--threads" | "-j" => {
-                k += 1;
-                let n = argv.get(k).ok_or("--threads needs a count")?;
-                threads =
-                    n.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        format!("bad --threads '{n}', expected a positive integer")
-                    })?;
-            }
+            "--threads" | "-j" => threads = parse_threads(argv, &mut k)?,
             "--read-timeout-ms" => {
                 k += 1;
                 let n = argv.get(k).ok_or("--read-timeout-ms needs a number")?;

@@ -133,6 +133,39 @@ fn index_with_layers_cross_layer_query_and_inspect() {
     }
 }
 
+/// Regression: a checkpoint used to write a layer's inserts before its
+/// retracts, so a re-tag (retract an annotation, insert it back with a
+/// new attribute) vanished when the sidecar was replayed — an
+/// acknowledged update lost at the next checkpointing `annotate`.
+#[test]
+fn retag_survives_checkpoint() {
+    let (dir, snap) = obs_snapshot("retag");
+    let sidecar = dir.join("corpus.delta").to_string_lossy().into_owned();
+    let annotate = |args: &[&str]| {
+        let out = bin()
+            .args(["annotate", "--store", &snap, "--delta", &sidecar])
+            .args(args)
+            .output()
+            .unwrap();
+        assert_success(&out, &format!("annotate {args:?}"));
+    };
+    let retag = "retract tokens w 0 4\ninsert tokens w 0 4 pos=NNP\n";
+    annotate(&["--journal", &write(&dir, "retag.ops", retag)]);
+    // Checkpoint: folds the journal into the sidecar.
+    annotate(&[&write(&dir, "more.ops", "insert tokens w 6 8 pos=VBD\n")]);
+
+    let count = |query: &str| {
+        let out = bin()
+            .args(["query", "--store", &snap, "--delta", &sidecar, "-q", query])
+            .output()
+            .unwrap();
+        assert_success(&out, query);
+        String::from_utf8_lossy(&out.stdout).trim().to_string()
+    };
+    assert_eq!(count(r#"count(doc("corpus#tokens")//w[@pos])"#), "2");
+    assert_eq!(count(r#"count(doc("corpus#tokens")//w)"#), "4");
+}
+
 /// Build the two-layer snapshot once for the observability smoke tests.
 fn obs_snapshot(tag: &str) -> (PathBuf, String) {
     let dir = tmp_dir(tag);

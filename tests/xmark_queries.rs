@@ -9,7 +9,7 @@
 use standoff::core::StandoffStrategy;
 use standoff::xmark::queries::XmarkQuery;
 use standoff::xmark::{generate, standoffify, XmarkConfig};
-use standoff::xquery::{Engine, EngineOptions};
+use standoff::xquery::{Engine, EngineOptions, JoinStats};
 
 const STD_URI: &str = "xmark.xml";
 const SO_URI: &str = "xmark-standoff.xml";
@@ -166,4 +166,52 @@ fn attr_value<'a>(xml: &'a str, name: &str) -> &'a str {
     let s = xml.find(&pat).map(|i| i + pat.len()).unwrap();
     let e = xml[s..].find('"').unwrap();
     &xml[s..s + e]
+}
+
+/// One definition of each join counter, three views: over the XMark
+/// StandOff queries, under every strategy and thread count, the
+/// per-operator `JoinExec` stats sum to each query's session
+/// `JoinStats`, and those sum to the registry's `join.*` counters.
+/// Dense scan blocks only ever come from dense candidate scans.
+#[test]
+fn join_counter_views_agree() {
+    let src = generate(&XmarkConfig::with_scale(0.002));
+    let so = standoffify(&src, 7);
+    let so_xml = standoff::xml::serialize_document(&so.doc, Default::default());
+    for strategy in StandoffStrategy::ALL {
+        for threads in [1usize, 4] {
+            let mut engine = Engine::with_options(EngineOptions {
+                strategy,
+                ..Default::default()
+            });
+            engine.set_threads(threads);
+            engine.load_document(SO_URI, &so_xml).unwrap();
+            let mut total = JoinStats::default();
+            for q in XmarkQuery::ALL {
+                for text in [q.standoff(SO_URI), q.standoff_udf_candidates(SO_URI)] {
+                    let (_, profile) = engine.run_profiled(&text).unwrap();
+                    let mut query = JoinStats::default();
+                    profile.plan.visit_exprs(&mut |e| {
+                        if let Some(j) = profile.ops.get(e).and_then(|m| m.join.as_ref()) {
+                            query.merge(j.stats);
+                        }
+                    });
+                    assert_eq!(engine.take_join_stats(), query, "{q} under {strategy}");
+                    assert!(
+                        query.candidate_dense_blocks == 0 || query.candidate_repr_dense > 0,
+                        "{q} under {strategy}: {query:?}"
+                    );
+                    total.merge(query);
+                }
+            }
+            let registry = engine.metrics().snapshot();
+            for (def, value) in JoinStats::COUNTERS.iter().zip(total.values()) {
+                assert_eq!(
+                    registry.counters[def.name], value,
+                    "{} under {strategy}",
+                    def.name
+                );
+            }
+        }
+    }
 }
