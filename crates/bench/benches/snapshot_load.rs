@@ -1,7 +1,7 @@
 //! Cold-start comparison: opening an XMark StandOff corpus from a binary
 //! snapshot vs re-parsing the XML and rebuilding the region index —
-//! and, since SOSN v3, *mounting* the snapshot (zero-copy column views,
-//! lazy layers) vs eagerly decoding it.
+//! and *mounting* the columnar snapshot (zero-copy column views, lazy
+//! layers) with every layer materialized vs opening it lazily.
 //!
 //! The snapshot path is the `standoff-store` claim to fame — reopening a
 //! bulk-loaded annotation database should cost I/O plus validation, not
@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use standoff_core::{RegionIndex, StandoffConfig};
-use standoff_store::{write_snapshot, write_snapshot_legacy, LayerSet, Snapshot};
+use standoff_store::{write_snapshot, LayerSet, Snapshot};
 use standoff_xmark::{generate, standoffify, XmarkConfig};
 use standoff_xml::parse_document;
 
@@ -28,8 +28,6 @@ fn snapshot_load(c: &mut Criterion) {
         let mut set = LayerSet::build("xmark-standoff.xml", so.doc, config.clone()).unwrap();
         set.add_layer("shadow", shadow, config.clone()).unwrap();
 
-        let mut legacy = Vec::new();
-        write_snapshot_legacy(&set, &mut legacy).unwrap();
         let mut v3 = Vec::new();
         write_snapshot(&set, &mut v3).unwrap();
 
@@ -43,21 +41,8 @@ fn snapshot_load(c: &mut Criterion) {
             });
         });
 
-        // Cold start from the legacy snapshot: eager streamed decode.
-        group.bench_with_input(
-            BenchmarkId::new("decode-v1", &label),
-            &legacy,
-            |b, bytes| {
-                b.iter(|| {
-                    Snapshot::from_bytes(bytes.clone())
-                        .unwrap()
-                        .to_layer_set()
-                        .unwrap()
-                });
-            },
-        );
-
-        // Cold mount of the v3 snapshot, all layers materialized.
+        // Cold mount of the snapshot, all layers materialized. (The row
+        // names keep their historical "v3" label; the file is v4.)
         group.bench_with_input(BenchmarkId::new("mount-v3", &label), &v3, |b, bytes| {
             b.iter(|| {
                 Snapshot::from_bytes(bytes.clone())
@@ -72,7 +57,7 @@ fn snapshot_load(c: &mut Criterion) {
             b.iter(|| Snapshot::from_bytes(bytes.clone()).unwrap());
         });
 
-        // First query latency including engine mount, from the v3 snapshot.
+        // First query latency including engine mount, from the snapshot.
         group.bench_with_input(
             BenchmarkId::new("snapshot+first-query", &label),
             &v3,

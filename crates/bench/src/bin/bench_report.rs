@@ -237,9 +237,9 @@ fn main() {
         record("join/select_narrow_sparse_pushdown", ns);
     }
 
-    // ---- snapshot mount (the SOSN v3 zero-copy story) ----
+    // ---- snapshot mount (the SOSN columnar zero-copy story) ----
     {
-        use standoff_store::{write_snapshot, write_snapshot_legacy, LayerSet, Snapshot};
+        use standoff_store::{save_snapshot, LayerSet, Snapshot};
         let so = standoff_xmark::standoffify(
             &standoff_xmark::generate(&standoff_xmark::XmarkConfig::with_scale(config.scale)),
             7,
@@ -255,30 +255,19 @@ fn main() {
         }
         let dir = std::env::temp_dir().join(format!("bench-report-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let v3_path = dir.join("corpus_v3.snap");
-        let v1_path = dir.join("corpus_v1.snap");
-        let mut buf = Vec::new();
-        write_snapshot(&set, &mut buf).unwrap();
-        std::fs::write(&v3_path, &buf).unwrap();
-        buf.clear();
-        write_snapshot_legacy(&set, &mut buf).unwrap();
-        std::fs::write(&v1_path, &buf).unwrap();
+        let path = dir.join("corpus.snap");
+        save_snapshot(&set, &path).unwrap();
 
-        // Legacy eager decode — the pre-v3 cold-start baseline.
-        let ns = median_ns(config.samples, || {
-            Snapshot::open(&v1_path).unwrap().to_layer_set().unwrap()
-        });
-        record("snapshot/mount_cold_v2", ns);
-        // v3 cold mount: I/O + section walk + zero-copy views +
+        // Cold mount: I/O + section walk + zero-copy views + checksums +
         // validation, all layers materialized.
         let ns = median_ns(config.samples, || {
-            Snapshot::open(&v3_path).unwrap().to_layer_set().unwrap()
+            Snapshot::open(&path).unwrap().to_layer_set().unwrap()
         });
         record("snapshot/mount_cold", ns);
         // Lazy mount + first query: only the base layer is realized —
         // the shadow siblings are never touched.
         let ns = median_ns(config.samples, || {
-            let snapshot = Snapshot::open(&v3_path).unwrap();
+            let snapshot = Snapshot::open(&path).unwrap();
             let base = snapshot.layer("base").unwrap();
             let set = LayerSet::from_layers(snapshot.uri(), vec![(*base).clone()]).unwrap();
             let mut engine = standoff_xquery::Engine::new();
@@ -372,10 +361,7 @@ fn main() {
     // header sections, full materialization pays per column, and
     // `verify` is the eager fsck sweep over every section.
     {
-        use standoff_store::{
-            ops_to_text, write_snapshot, write_snapshot_unchecksummed, DeltaOp, DeltaWal, LayerSet,
-            Snapshot,
-        };
+        use standoff_store::{ops_to_text, save_snapshot, DeltaOp, DeltaWal, LayerSet, Snapshot};
         let dir = std::env::temp_dir().join(format!("bench-durability-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
 
@@ -419,28 +405,19 @@ fn main() {
         let cfg = standoff_core::StandoffConfig::default();
         let set = LayerSet::build("xmark-standoff.xml", so.doc, cfg).unwrap();
         let checked = dir.join("checked.snap");
-        let unchecked = dir.join("unchecked.snap");
-        let mut buf = Vec::new();
-        write_snapshot(&set, &mut buf).unwrap();
-        std::fs::write(&checked, &buf).unwrap();
-        buf.clear();
-        write_snapshot_unchecksummed(&set, &mut buf).unwrap();
-        std::fs::write(&unchecked, &buf).unwrap();
+        save_snapshot(&set, &checked).unwrap();
 
         let ns = median_ns(config.samples, || {
             Snapshot::open(&checked).unwrap().to_layer_set().unwrap()
         });
         record("durability/mount_checksummed", ns);
-        let ns = median_ns(config.samples, || {
-            Snapshot::open(&unchecked).unwrap().to_layer_set().unwrap()
-        });
-        record("durability/mount_unchecksummed", ns);
         let ns = median_ns(config.samples, || Snapshot::open(&checked).unwrap());
         record("durability/open_lazy_checksummed", ns);
         let ns = median_ns(config.samples, || {
-            Snapshot::open_verified(&checked)
+            Snapshot::open(&checked)
                 .unwrap()
-                .1
+                .verify()
+                .unwrap()
                 .sections_checked
         });
         record("durability/verify", ns);

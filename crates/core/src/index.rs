@@ -30,7 +30,7 @@ const _: () = assert!(std::mem::size_of::<RegionEntry>() == 24);
 
 // `repr(C)` gives `RegionEntry` a fixed 24-byte layout (4 trailing
 // padding bytes, written as zeros and never read back), so entry columns
-// in SOSN v3 snapshots mount zero-copy on little-endian targets.
+// in SOSN v3/v4 snapshots mount zero-copy on little-endian targets.
 unsafe impl Pod for RegionEntry {
     const WIDTH: usize = 24;
 
@@ -495,7 +495,7 @@ impl RegionIndex {
     /// area constraints, checked without allocating), the stored
     /// max-regions statistic, and the entry ↔ node-view bijection. This
     /// is the single trust boundary of both the legacy stream decode and
-    /// the SOSN v3 zero-copy mount — mounted indexes are used as-is by
+    /// the SOSN v3/v4 zero-copy mount — mounted indexes are used as-is by
     /// the join executor, never re-checked downstream.
     pub fn from_storage(
         entries: PodCol<RegionEntry>,

@@ -14,14 +14,17 @@
 //!   compose *across* layers.
 //! * [`snapshot`] / [`mount`] — a versioned binary format (no external
 //!   serde) that persists every layer's shredded document, element-name
-//!   CSR and prebuilt region index. The current SOSN v3 format is
-//!   columnar and offset-indexed: [`Snapshot::open`] *mounts* the file
-//!   as one shared buffer, layers materialize lazily on first access as
-//!   zero-copy column views, and `inspect` is a pure header walk. No
-//!   XML parsing, no `RegionIndex::build`, no per-node allocation — the
-//!   cold-start path the ROADMAP asks for. Legacy (version 1) files
-//!   keep loading through the same entry points. The current v4 files
-//!   add a CRC32 per section, verified lazily at materialization.
+//!   CSR and prebuilt region index. One writer, [`write_snapshot`] /
+//!   [`save_snapshot`], emits the current SOSN v4 format: columnar,
+//!   offset-indexed, with a CRC32 per section. One reader,
+//!   [`Snapshot::open`] / [`Snapshot::from_bytes`], *mounts* the file as
+//!   one shared buffer; layers materialize lazily on first access as
+//!   zero-copy column views (checksums verified then), and
+//!   [`Snapshot::info`] reads only the section table and layer headers.
+//!   No XML parsing, no `RegionIndex::build`, no per-node allocation —
+//!   the cold-start path the ROADMAP asks for. Older v3 (unchecksummed)
+//!   and v1 (streaming, decoded eagerly) files open through the same
+//!   reader.
 //! * [`atomic`] / [`wal`] — the durability layer: every in-place
 //!   rewrite goes through write-temp → fsync → rename → fsync(dir), and
 //!   delta batches are journaled to an append-only, per-record
@@ -48,9 +51,5 @@ pub use delta::{compact, ops_to_text, parse_ops, DeltaAnnotation, DeltaOp, Delta
 pub use error::StoreError;
 pub use layer::{Layer, LayerSet, BASE_LAYER};
 pub use mount::{Snapshot, VerifyReport};
-pub use snapshot::{
-    inspect_snapshot, load_snapshot, load_snapshot_with_info, read_snapshot,
-    read_snapshot_with_info, save_snapshot, write_snapshot, write_snapshot_legacy,
-    write_snapshot_unchecksummed, LayerInfo, SectionInfo, SnapshotInfo,
-};
+pub use snapshot::{save_snapshot, write_snapshot, LayerInfo, SectionInfo, SnapshotInfo};
 pub use wal::{checkpoint_marker, checkpointed_seq, wal_path, DeltaWal, WalRecord, WalScan};

@@ -16,9 +16,10 @@
 //! headers) plus the checksum table's structure — the lazy-mount hot
 //! path never hashes bulk columns. A layer's column checksums are
 //! verified the first time the layer is materialized; a mismatch is a
-//! categorized [`StoreError::Corrupt`], never a panic. Unchecksummed
-//! v3 files remain fully readable (and writable, for comparison
-//! benchmarks) — they simply skip verification.
+//! categorized [`StoreError::Corrupt`], never a panic. Only v4 is
+//! written (`write_columnar`, behind [`crate::write_snapshot`]);
+//! unchecksummed v3 files remain fully readable — they simply skip
+//! verification.
 //!
 //! Offsets are absolute file positions. Per-layer payloads are one
 //! section per *column* — the document's `kind`/`size`/`level`/`parent`/
@@ -33,6 +34,10 @@
 //! untouched siblings. All structural invariants the eager decoders
 //! enforced are re-validated at materialization time (the query
 //! optimizer's post-filter elision relies on them).
+//!
+//! [`Snapshot`] is the one reader for every version: v1 files open
+//! through the same type, decoded eagerly by the streaming reader in
+//! [`crate::snapshot`].
 //!
 //! Alignment padding is an optimization, not an obligation: a misaligned
 //! (or big-endian) mount transparently decodes the affected column into
@@ -63,8 +68,8 @@ use standoff_xml::wire::{read_string, read_u32, read_u64, read_u8, write_string,
 
 // ---- section tags ----
 
-pub(crate) const SEC_META: u32 = 1;
-pub(crate) const SEC_LAYER_HDR: u32 = 3;
+const SEC_META: u32 = 1;
+const SEC_LAYER_HDR: u32 = 3;
 
 const SEC_DOC_META: u32 = 10;
 const SEC_DOC_KIND: u32 = 11;
@@ -88,13 +93,13 @@ const SEC_RIDX_NODE_IDS: u32 = 32;
 const SEC_RIDX_NODE_OFF: u32 = 33;
 const SEC_RIDX_REGIONS: u32 = 34;
 /// v4 only: `(u32 tag | u32 layer | u32 crc32)` per other section.
-pub(crate) const SEC_CHECKSUMS: u32 = 40;
+const SEC_CHECKSUMS: u32 = 40;
 /// Bytes per checksum-table entry.
 const CHECKSUM_ENTRY_BYTES: usize = 12;
 
 /// Stable human-readable name of a section tag — what
 /// `standoff-xq inspect` prints next to per-section byte sizes.
-pub(crate) fn section_name(tag: u32) -> &'static str {
+fn section_name(tag: u32) -> &'static str {
     match tag {
         SEC_META => "meta",
         SEC_LAYER_HDR => "layer.header",
@@ -125,9 +130,9 @@ pub(crate) fn section_name(tag: u32) -> &'static str {
 }
 
 /// Fixed-size prelude: magic + version + section count + reserved.
-pub(crate) const HEADER_BYTES: usize = 16;
+const HEADER_BYTES: usize = 16;
 /// Bytes per section-table entry.
-pub(crate) const TABLE_ENTRY_BYTES: usize = 24;
+const TABLE_ENTRY_BYTES: usize = 24;
 
 #[inline]
 fn align8(off: u64) -> u64 {
@@ -219,20 +224,10 @@ impl Write for CrcSink {
     }
 }
 
-/// Serialize a layer set in the v3 columnar format *without* section
-/// checksums — kept for compatibility fixtures and for benchmarking the
-/// checksummed format against its baseline.
-pub fn write_snapshot_v3<W: Write>(set: &LayerSet, w: &mut W) -> io::Result<()> {
-    write_columnar(set, w, false)
-}
-
-/// Serialize a layer set in the current (v4) columnar format: v3's
-/// layout plus a trailing CHECKSUMS section with a CRC32 per payload.
-pub fn write_snapshot_v4<W: Write>(set: &LayerSet, w: &mut W) -> io::Result<()> {
-    write_columnar(set, w, true)
-}
-
-fn write_columnar<W: Write>(set: &LayerSet, w: &mut W, checksums: bool) -> io::Result<()> {
+/// Serialize a layer set in the current (v4) columnar format: the
+/// sectioned layout plus a trailing CHECKSUMS section with a CRC32 per
+/// payload.
+pub(crate) fn write_columnar<W: Write>(set: &LayerSet, w: &mut W) -> io::Result<()> {
     let mut sections: Vec<(u32, u32, Body<'_>)> = Vec::new();
 
     let mut meta = Vec::new();
@@ -301,21 +296,19 @@ fn write_columnar<W: Write>(set: &LayerSet, w: &mut W, checksums: bool) -> io::R
         sections.push((SEC_RIDX_REGIONS, k, Body::Regions(ridx.node_regions)));
     }
 
-    if checksums {
-        // One CRC32 per section, covering its exact payload bytes; the
-        // checksum section itself is last and not self-covered.
-        let mut payload = Vec::with_capacity(CHECKSUM_ENTRY_BYTES * sections.len());
-        for (tag, layer, body) in &sections {
-            payload.extend_from_slice(&tag.to_le_bytes());
-            payload.extend_from_slice(&layer.to_le_bytes());
-            payload.extend_from_slice(&body.crc().to_le_bytes());
-        }
-        sections.push((SEC_CHECKSUMS, 0, Body::Rendered(payload)));
+    // One CRC32 per section, covering its exact payload bytes; the
+    // checksum section itself is last and not self-covered.
+    let mut payload = Vec::with_capacity(CHECKSUM_ENTRY_BYTES * sections.len());
+    for (tag, layer, body) in &sections {
+        payload.extend_from_slice(&tag.to_le_bytes());
+        payload.extend_from_slice(&layer.to_le_bytes());
+        payload.extend_from_slice(&body.crc().to_le_bytes());
     }
+    sections.push((SEC_CHECKSUMS, 0, Body::Rendered(payload)));
 
     // Lay out: header, table, 8-aligned payloads.
     w.write_all(MAGIC)?;
-    write_u32(w, if checksums { VERSION_V4 } else { VERSION_V3 })?;
+    write_u32(w, VERSION_V4)?;
     write_u32(w, sections.len() as u32)?;
     write_u32(w, 0)?; // reserved (keeps the table 8-aligned)
     let mut cur = (HEADER_BYTES + TABLE_ENTRY_BYTES * sections.len()) as u64;
@@ -376,7 +369,7 @@ struct SectionCheck {
     crc: u32,
 }
 
-/// What [`Snapshot::verify`] / [`Snapshot::open_verified`] report back.
+/// What [`Snapshot::verify`] reports back.
 #[derive(Clone, Debug)]
 pub struct VerifyReport {
     /// On-disk format version.
@@ -413,34 +406,16 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Mount a snapshot file.
+    /// Mount a snapshot file (any readable version).
     pub fn open(path: impl AsRef<Path>) -> Result<Snapshot, StoreError> {
         let bytes = std::fs::read(path)?;
-        Snapshot::mount_bytes(bytes)
+        Snapshot::from_bytes(bytes)
     }
 
-    /// Mount a snapshot file and eagerly verify everything — every
-    /// section checksum, every layer materialized and revalidated —
-    /// before returning. The `verify_all` open mode behind
-    /// `standoff-xq verify`.
-    pub fn open_verified(path: impl AsRef<Path>) -> Result<(Snapshot, VerifyReport), StoreError> {
-        let snapshot = Snapshot::open(path)?;
-        let report = snapshot.verify()?;
-        Ok((snapshot, report))
-    }
-
-    /// Mount a snapshot from in-memory bytes.
-    pub fn from_bytes(bytes: Vec<u8>) -> io::Result<Snapshot> {
-        Snapshot::mount_bytes(bytes).map_err(|e| match e {
-            StoreError::Io(io) => io,
-            other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
-        })
-    }
-
-    /// [`Snapshot::from_bytes`] with categorized errors — corruption
-    /// surfaces as [`StoreError::Corrupt`] rather than flattened into
-    /// `io::Error`.
-    pub fn mount_bytes(bytes: Vec<u8>) -> Result<Snapshot, StoreError> {
+    /// Mount a snapshot from in-memory bytes. Checksum failures surface
+    /// as [`StoreError::Corrupt`], structural damage as an
+    /// `InvalidData` [`StoreError::Io`].
+    pub fn from_bytes(bytes: Vec<u8>) -> Result<Snapshot, StoreError> {
         // Mount timings go to the process-global registry: the store
         // crate has no engine to own a registry, and mounts are rare
         // enough that the global map lookup is immaterial.
@@ -828,7 +803,7 @@ impl Snapshot {
     }
 
     /// Snapshot statistics from the header walk alone — payloads are
-    /// untouched for v3 files (`standoff-xq inspect`'s backing).
+    /// untouched for v3/v4 files (`standoff-xq inspect`'s backing).
     pub fn info(&self) -> SnapshotInfo {
         SnapshotInfo {
             version: self.version,
@@ -840,8 +815,8 @@ impl Snapshot {
                 .map(|l| LayerInfo {
                     name: l.name.clone(),
                     bytes: l.bytes,
-                    nodes: Some(l.nodes),
-                    annotations: Some(l.annotations),
+                    nodes: l.nodes,
+                    annotations: l.annotations,
                     sections: l.section_info.clone(),
                 })
                 .collect(),

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use standoff_core::StandoffConfig;
-use standoff_store::{read_snapshot, write_snapshot, LayerSet};
+use standoff_store::{write_snapshot, LayerSet, Snapshot, StoreError};
 use standoff_xml::{parse_document, serialize_document, Document};
 
 /// Random non-touching annotation spans: (start, end) pairs.
@@ -27,6 +27,11 @@ fn layer_doc(elem: &str, spans: &[(i64, i64)]) -> Document {
     }
     xml.push_str("</layer>");
     parse_document(&xml).unwrap()
+}
+
+/// Mount the bytes and materialize every layer.
+fn load(bytes: &[u8]) -> Result<LayerSet, StoreError> {
+    Snapshot::from_bytes(bytes.to_vec())?.to_layer_set()
 }
 
 fn layer_names(n: usize) -> Vec<String> {
@@ -56,7 +61,7 @@ proptest! {
 
         let mut buf = Vec::new();
         write_snapshot(&set, &mut buf).unwrap();
-        let loaded = read_snapshot(&mut buf.as_slice()).unwrap();
+        let loaded = load(&buf).unwrap();
 
         // Metadata.
         prop_assert_eq!(loaded.uri(), set.uri());
@@ -97,7 +102,7 @@ proptest! {
         write_snapshot(&set, &mut buf).unwrap();
         let cut = (cut_frac as usize * buf.len()) / 1000;
         prop_assert!(cut < buf.len());
-        prop_assert!(read_snapshot(&mut buf[..cut].to_vec().as_slice()).is_err());
+        prop_assert!(load(&buf[..cut]).is_err());
     }
 
     /// Arbitrary single-byte corruption either fails cleanly or yields a
@@ -118,7 +123,7 @@ proptest! {
         write_snapshot(&set, &mut buf).unwrap();
         let pos = (pos_frac as usize * buf.len()) / 1000;
         buf[pos] ^= byte;
-        if let Ok(loaded) = read_snapshot(&mut buf.as_slice()) {
+        if let Ok(loaded) = load(&buf) {
             // Whatever decoded must uphold the structural invariants.
             for layer in loaded.layers() {
                 layer.doc().check_invariants().unwrap();

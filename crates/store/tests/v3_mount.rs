@@ -6,7 +6,7 @@
 //! survive materialization.
 
 use standoff_core::StandoffConfig;
-use standoff_store::{write_snapshot, write_snapshot_legacy, LayerSet, Snapshot, StoreError};
+use standoff_store::{write_snapshot, LayerSet, Snapshot, StoreError};
 use standoff_xml::parse_document;
 
 fn sample_set() -> LayerSet {
@@ -78,8 +78,8 @@ fn open_is_lazy_and_layer_access_materializes_one() {
     // `info` (what `standoff-xq inspect` prints) still reports counts —
     // they live in the layer headers, not the payloads.
     let info = snapshot.info();
-    assert_eq!(info.layers[1].annotations, Some(3));
-    assert_eq!(info.layers[2].annotations, Some(1));
+    assert_eq!(info.layers[1].annotations, 3);
+    assert_eq!(info.layers[2].annotations, 1);
     for k in 0..3 {
         assert!(!snapshot.is_materialized(k), "info must not materialize");
     }
@@ -117,11 +117,13 @@ fn materialized_layers_are_zero_copy_views() {
     assert_eq!(base.index().annotated_nodes(), &[2, 3]);
 }
 
+/// The committed version-1 fixture (base + tokens + entities over
+/// "Alice met Bob"); nothing writes v1 any more.
+const V1_FIXTURE: &[u8] = include_bytes!("../../../tests/fixtures/corpus_v1.snap");
+
 #[test]
 fn legacy_files_open_through_snapshot_eagerly() {
-    let mut buf = Vec::new();
-    write_snapshot_legacy(&sample_set(), &mut buf).unwrap();
-    let snapshot = Snapshot::from_bytes(buf).unwrap();
+    let snapshot = Snapshot::from_bytes(V1_FIXTURE.to_vec()).unwrap();
     assert_eq!(snapshot.version(), 1);
     // Legacy decode is eager: everything is already materialized.
     for k in 0..3 {
@@ -133,13 +135,18 @@ fn legacy_files_open_through_snapshot_eagerly() {
 
 #[test]
 fn v3_and_legacy_agree() {
-    let set = sample_set();
-    let mut v3 = Vec::new();
-    write_snapshot(&set, &mut v3).unwrap();
-    let mut v1 = Vec::new();
-    write_snapshot_legacy(&set, &mut v1).unwrap();
-    let a = Snapshot::from_bytes(v3).unwrap().to_layer_set().unwrap();
-    let b = Snapshot::from_bytes(v1).unwrap().to_layer_set().unwrap();
+    // Re-encode the v1 fixture in the current columnar format: both
+    // mounts must hold the same layers.
+    let b = Snapshot::from_bytes(V1_FIXTURE.to_vec())
+        .unwrap()
+        .to_layer_set()
+        .unwrap();
+    let mut current = Vec::new();
+    write_snapshot(&b, &mut current).unwrap();
+    let a = Snapshot::from_bytes(current)
+        .unwrap()
+        .to_layer_set()
+        .unwrap();
     for (la, lb) in a.layers().iter().zip(b.layers()) {
         assert_eq!(la.name(), lb.name());
         assert_eq!(la.index().entries(), lb.index().entries());
@@ -265,7 +272,7 @@ fn single_byte_corruption_never_panics_and_is_always_detected() {
         mutated[k] ^= 0xff;
         // Detection: open fails, or the deep verify (checksums + full
         // materialization) fails. Never a panic either way.
-        let detected = match Snapshot::mount_bytes(mutated) {
+        let detected = match Snapshot::from_bytes(mutated) {
             Err(_) => true,
             Ok(snapshot) => {
                 let failed = snapshot.verify().is_err();
@@ -294,7 +301,7 @@ fn payload_flip_is_corrupt_at_materialization_open_stays_lazy() {
     mutated[off as usize] ^= 0xff;
     // Opening succeeds — checksums of untouched-at-open sections are
     // deferred — and nothing is materialized.
-    let snapshot = Snapshot::mount_bytes(mutated).expect("lazy open must not hash bulk columns");
+    let snapshot = Snapshot::from_bytes(mutated).expect("lazy open must not hash bulk columns");
     assert!(!snapshot.is_materialized(1));
     // Sibling layers are unaffected.
     snapshot.layer("base").expect("clean sibling materializes");

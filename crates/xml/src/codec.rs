@@ -29,9 +29,13 @@
 //! (via [`Document::from_storage`]) — a corrupted file fails cleanly
 //! instead of corrupting query results.
 //!
-//! This streamed, per-field codec is the *legacy* persistence path; the
-//! SOSN v3 snapshots in `standoff-store` persist the same columns as
-//! aligned sections that are mounted zero-copy instead of decoded.
+//! This streamed, per-field codec is a component of the legacy SOSN v1
+//! snapshot layout, which `standoff-store` still reads (its LAYER
+//! sections embed one encoded document each); nothing writes it as a
+//! file of its own. Current SOSN v4 snapshots persist the same columns
+//! as aligned sections that are mounted zero-copy instead of decoded.
+//! The round-trip and hostile-input tests here are the v1 reader's
+//! document-decoding harness.
 
 use std::io::{self, Read, Write};
 
@@ -39,7 +43,6 @@ use crate::column::StrArena;
 use crate::doc::{Document, DocumentParts, ElemIndex, KindCol};
 use crate::name::{NameId, NameTable};
 use crate::node::NodeKind;
-use crate::store::Store;
 
 const MAGIC: &[u8; 4] = b"SOXD";
 const VERSION: u32 = 2;
@@ -256,41 +259,6 @@ pub fn read_document<R: Read>(r: &mut R) -> io::Result<Document> {
     .map_err(|e| bad_data(&e))
 }
 
-// ---- store codec ----
-
-const STORE_MAGIC: &[u8; 4] = b"SOXS";
-
-/// Serialize a whole store (all documents, with their URIs).
-pub fn write_store<W: Write>(store: &Store, w: &mut W) -> io::Result<()> {
-    w.write_all(STORE_MAGIC)?;
-    write_u32(w, VERSION)?;
-    write_u32(w, store.len() as u32)?;
-    for id in store.doc_ids() {
-        write_document(store.doc(id), w)?;
-    }
-    Ok(())
-}
-
-/// Deserialize a store written by [`write_store`].
-pub fn read_store<R: Read>(r: &mut R) -> io::Result<Store> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != STORE_MAGIC {
-        return Err(bad_data("not a standoff store file (bad magic)"));
-    }
-    if read_u32(r)? != VERSION {
-        return Err(bad_data("unsupported format version"));
-    }
-    let count = read_u32(r)?;
-    let mut store = Store::new();
-    for _ in 0..count {
-        let doc = read_document(r)?;
-        let uri = doc.uri().map(|u| u.to_string());
-        store.add(doc, uri.as_deref());
-    }
-    Ok(store)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,13 +291,12 @@ mod tests {
 
     #[test]
     fn uri_survives() {
-        let mut store = Store::new();
-        store.load("file:a.xml", "<a><b/></a>").unwrap();
+        let mut store = crate::store::Store::new();
+        let id = store.load("file:a.xml", "<a><b/></a>").unwrap();
         let mut buf = Vec::new();
-        write_store(&store, &mut buf).unwrap();
-        let loaded = read_store(&mut buf.as_slice()).unwrap();
-        assert_eq!(loaded.len(), 1);
-        assert!(loaded.by_uri("file:a.xml").is_some());
+        write_document(store.doc(id), &mut buf).unwrap();
+        let loaded = read_document(&mut buf.as_slice()).unwrap();
+        assert_eq!(loaded.uri(), Some("file:a.xml"));
     }
 
     #[test]
@@ -467,18 +434,5 @@ mod tests {
             mutated[k] ^= 0xff;
             let _ = read_document(&mut mutated.as_slice());
         }
-    }
-
-    #[test]
-    fn store_round_trip_multiple_docs() {
-        let mut store = Store::new();
-        store.load("a", "<x><y/></x>").unwrap();
-        store.load("b", r#"<m start="0" end="9"><n/></m>"#).unwrap();
-        let mut buf = Vec::new();
-        write_store(&store, &mut buf).unwrap();
-        let loaded = read_store(&mut buf.as_slice()).unwrap();
-        assert_eq!(loaded.len(), 2);
-        let b = loaded.by_uri("b").unwrap();
-        assert_eq!(loaded.doc(b).attribute(1, "end"), Some("9"));
     }
 }

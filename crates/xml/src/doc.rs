@@ -9,7 +9,7 @@
 //!
 //! Every column is a [`PodCol`]/[`StrArena`]: owned when the document was
 //! parsed or built in memory, a zero-copy view over a snapshot buffer when
-//! it was mounted (see `standoff-store`'s SOSN v3 format). The element-name
+//! it was mounted (see `standoff-store`'s columnar SOSN v3/v4 format). The element-name
 //! index is a CSR over `(name id → element pre ranks)` — persisted by the
 //! codecs and mounted as-is, never rebuilt through a hash map.
 
@@ -309,7 +309,7 @@ impl Document {
     /// structural pre/size/level invariants, attribute CSR consistency,
     /// and the element-name index's agreement with the columns. This is
     /// the single trust boundary of the codec v2 read path and the SOSN
-    /// v3 snapshot mount — a corrupted file fails here, cleanly.
+    /// v3/v4 snapshot mount — a corrupted file fails here, cleanly.
     pub fn from_storage(parts: DocumentParts) -> Result<Document, String> {
         let n = parts.kind.len();
         if n == 0 {

@@ -37,7 +37,7 @@ pub mod store;
 pub mod wire;
 
 pub use builder::DocumentBuilder;
-pub use codec::{read_document, read_store, write_document, write_store};
+pub use codec::{read_document, write_document};
 pub use column::{Pod, PodCol, SharedBytes, StrArena, StrArenaBuilder};
 pub use doc::{Document, DocumentParts, DocumentStorageRef, ElemIndex, KindCol};
 pub use error::{ParseError, XmlError};

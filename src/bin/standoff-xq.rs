@@ -6,14 +6,14 @@
 //!             [--standoff-region N] [--lenient]
 //! standoff-xq inspect <snapshot>
 //! standoff-xq query [--store SNAPSHOT]... [--load URI=FILE]...
-//!             [--load-bin FILE] (--query Q | --query-file F)
+//!             (--query Q | --query-file F)
 //!             [--strategy naive|naive-candidates|basic|loop-lifted|auto]
 //!             [--no-pushdown] [--threads N] [--explain] [--time]
 //! standoff-xq explain [--store SNAPSHOT]... [--load URI=FILE]...
-//!             [--load-bin FILE] (--query Q | --query-file F)
+//!             (--query Q | --query-file F)
 //!             [--strategy ...] [--no-pushdown]
 //! standoff-xq batch [--store SNAPSHOT]... [--load URI=FILE]...
-//!             [--load-bin FILE] [--threads N] [--time] <queries.txt | ->
+//!             [--threads N] [--time] <queries.txt | ->
 //! ```
 //!
 //! `index` bulk-loads a base document plus any number of stand-off
@@ -67,28 +67,27 @@ use std::time::{Duration, Instant};
 use standoff::core::{StandoffConfig, StandoffStrategy};
 use standoff::serve::{self, ServeMount, ServeOptions, Server};
 use standoff::store::{
-    atomic_write, ops_to_text, parse_ops, save_snapshot, wal_path, write_snapshot_legacy, DeltaSet,
-    DeltaWal, LayerSet, Snapshot, WalRecord,
+    atomic_write, ops_to_text, parse_ops, save_snapshot, wal_path, DeltaSet, DeltaWal, LayerSet,
+    Snapshot, StoreError, WalRecord,
 };
 use standoff::xquery::{Engine, EngineOptions, Executor, Governance};
 
 const USAGE: &str = "standoff-xq index <base.xml> -o <snapshot> [--layer NAME=FILE]... [--uri URI]\n\
                      \x20           [--standoff-start N] [--standoff-end N] [--standoff-region N] [--lenient]\n\
-                     \x20           [--legacy-format]\n\
                      standoff-xq inspect <snapshot> [--sections]\n\
                      standoff-xq annotate --store SNAPSHOT --delta SIDECAR [--journal] <ops.txt | ->\n\
                      standoff-xq compact --store SNAPSHOT [--delta SIDECAR]... -o <snapshot>\n\
                      standoff-xq verify <snapshot> [--delta SIDECAR]... [--json]\n\
-                     standoff-xq query [--store SNAPSHOT [--delta SIDECAR]...]... [--load URI=FILE]... [--load-bin FILE]\n\
+                     standoff-xq query [--store SNAPSHOT [--delta SIDECAR]...]... [--load URI=FILE]...\n\
                      \x20           (--query Q | --query-file F)\n\
                      \x20           [--strategy naive|naive-candidates|basic|loop-lifted|auto]\n\
                      \x20           [--no-pushdown] [--threads N] [--explain] [--time] [--profile] [--profile-json]\n\
-                     standoff-xq explain [--store SNAPSHOT]... [--load URI=FILE]... [--load-bin FILE]\n\
+                     standoff-xq explain [--store SNAPSHOT]... [--load URI=FILE]...\n\
                      \x20           (--query Q | --query-file F) [--strategy ...] [--no-pushdown] [--analyze]\n\
-                     standoff-xq batch [--store SNAPSHOT]... [--load URI=FILE]... [--load-bin FILE]\n\
+                     standoff-xq batch [--store SNAPSHOT]... [--load URI=FILE]...\n\
                      \x20           [--strategy ...] [--no-pushdown] [--threads N] [--time]\n\
                      \x20           [--profile] [--profile-json] <queries.txt | ->\n\
-                     standoff-xq stats [--store SNAPSHOT]... [--load URI=FILE]... [--load-bin FILE]\n\
+                     standoff-xq stats [--store SNAPSHOT]... [--load URI=FILE]...\n\
                      \x20           [--strategy ...] [--no-pushdown] [--threads N] [queries.txt | -]\n\
                      standoff-xq serve [--listen ADDR] [--store SNAPSHOT]... [--strategy ...] [--no-pushdown]\n\
                      \x20           [--threads N] [--deadline-ms N] [--max-results N] [--max-scratch-mb N]\n\
@@ -140,7 +139,6 @@ fn cmd_index(argv: &[String]) -> Result<ExitCode, String> {
     let mut uri: Option<String> = None;
     let mut layers: Vec<(String, String)> = Vec::new();
     let mut config = StandoffConfig::default();
-    let mut legacy = false;
     let mut k = 0;
     while k < argv.len() {
         match argv[k].as_str() {
@@ -174,7 +172,6 @@ fn cmd_index(argv: &[String]) -> Result<ExitCode, String> {
                     Some(argv.get(k).ok_or("--standoff-region needs a name")?.clone());
             }
             "--lenient" => config.lenient = true,
-            "--legacy-format" => legacy = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return Ok(ExitCode::SUCCESS);
@@ -196,23 +193,12 @@ fn cmd_index(argv: &[String]) -> Result<ExitCode, String> {
         set.add_layer(name, doc, config.clone())
             .map_err(|e| format!("{path}: {e}"))?;
     }
-    if legacy {
-        // Version-1 streaming format (compat fixtures, old readers) —
-        // written through the same atomic temp-fsync-rename path as the
-        // current format, so a crash never leaves a torn snapshot.
-        standoff::store::atomic_replace(std::path::Path::new(&out), |w| {
-            write_snapshot_legacy(&set, w)
-        })
-        .map_err(|e| format!("{out}: {e}"))?;
-    } else {
-        save_snapshot(&set, &out).map_err(|e| format!("{out}: {e}"))?;
-    }
+    save_snapshot(&set, &out).map_err(|e| format!("{out}: {e}"))?;
 
     let annotations: usize = set.layers().iter().map(|l| l.annotation_count()).sum();
     eprintln!(
-        "# indexed {} layer(s), {annotations} annotation(s) -> {out} (uri '{uri}', {})",
+        "# indexed {} layer(s), {annotations} annotation(s) -> {out} (uri '{uri}', v4 columnar)",
         set.len(),
-        if legacy { "v1 legacy" } else { "v4 columnar" },
     );
     Ok(ExitCode::SUCCESS)
 }
@@ -234,31 +220,24 @@ fn cmd_inspect(argv: &[String]) -> Result<ExitCode, String> {
     let [path] = paths[..] else {
         return Err(format!("inspect takes exactly one snapshot path\n{USAGE}"));
     };
-    // A pure header walk: v3 files expose uri, layer names and counts in
-    // the section table + layer headers, so no payload is read (let
-    // alone decoded); legacy files are skimmed with seeks. `query
-    // --store` is the integrity-proving path.
-    let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
-    let info = standoff::store::inspect_snapshot(&mut std::io::BufReader::new(file))
-        .map_err(|e| format!("{path}: {e}"))?;
+    // Opening a v3/v4 file walks only the section table and the layer
+    // headers, which carry uri, layer names and counts; no payload is
+    // decoded. Legacy files are decoded whole. `verify` is the
+    // integrity-proving path.
+    let info = Snapshot::open(path)
+        .map_err(|e| format!("{path}: {e}"))?
+        .info();
     println!("snapshot {path}");
     println!("  format:  v{}", info.version);
     println!("  uri:     {}", info.uri);
     println!("  layers:  {}", info.layers.len());
     println!("  payload: {} byte(s)", info.payload_bytes);
     for layer in &info.layers {
-        let opt = |v: Option<u64>| match v {
-            Some(v) => v.to_string(),
-            None => "?".to_string(), // legacy skim: counts need a decode
-        };
         println!(
             "  - {:<12} {:>8} byte(s)  {:>7} node(s)  {:>7} annotation(s)",
-            layer.name,
-            layer.bytes,
-            opt(layer.nodes),
-            opt(layer.annotations),
+            layer.name, layer.bytes, layer.nodes, layer.annotations,
         );
-        // Per-section byte breakdown — v3 section tables only; legacy
+        // Per-section byte breakdown — v3/v4 section tables only; legacy
         // files store one opaque payload per layer.
         if sections {
             for s in &layer.sections {
@@ -446,7 +425,7 @@ fn cmd_annotate(argv: &[String]) -> Result<ExitCode, String> {
 }
 
 /// `compact`: fold a snapshot plus its delta sidecar(s) into a fresh,
-/// delta-free v3 snapshot. The sidecars are left on disk but no longer
+/// delta-free v4 snapshot. The sidecars are left on disk but no longer
 /// apply to the compacted output (their annotations are baked in).
 fn cmd_compact(argv: &[String]) -> Result<ExitCode, String> {
     let mut store: Option<String> = None;
@@ -575,28 +554,22 @@ fn cmd_verify(argv: &[String]) -> Result<ExitCode, String> {
     let mut findings: Vec<String> = Vec::new();
     let mut notes: Vec<String> = Vec::new();
     let (mut version, mut checksummed, mut layers, mut sections_checked) = (0u32, false, 0, 0);
-    let set = match standoff::store::Snapshot::open_verified(&path) {
-        Ok((snapshot, report)) => {
+    // An I/O error from opening is a usage error (wrong path,
+    // permissions, a file that is not a snapshot); damage found by the
+    // deep check is a finding.
+    let set = match Snapshot::open(&path) {
+        Err(StoreError::Io(e)) => return Err(format!("{path}: {e}")),
+        Err(e) => Err(e),
+        Ok(snapshot) => snapshot.verify().and_then(|report| {
             version = report.version;
             checksummed = report.checksummed;
             layers = report.layers;
             sections_checked = report.sections_checked;
-            match snapshot.to_layer_set() {
-                Ok(set) => Some(set),
-                Err(e) => {
-                    findings.push(format!("{path}: {e}"));
-                    None
-                }
-            }
-        }
-        // Unreadable is a usage error (wrong path, permissions);
-        // readable-but-damaged is a finding.
-        Err(standoff::store::StoreError::Io(e)) => return Err(format!("{path}: {e}")),
-        Err(e) => {
-            findings.push(format!("{path}: {e}"));
-            None
-        }
-    };
+            snapshot.to_layer_set()
+        }),
+    }
+    .map_err(|e| findings.push(format!("{path}: {e}")))
+    .ok();
 
     let mut delta_checks: Vec<DeltaCheck> = Vec::new();
     let mut delta = DeltaSet::new();
@@ -770,7 +743,6 @@ struct CorpusArgs {
     /// they follow (a sidecar addresses layers of one snapshot).
     deltas: Vec<(usize, String)>,
     loads: Vec<(String, String)>,
-    load_bins: Vec<String>,
     strategy: Option<StandoffStrategy>,
     /// `--strategy auto`: per-operator selection from index statistics.
     auto_strategy: bool,
@@ -810,11 +782,6 @@ impl CorpusArgs {
                     .split_once('=')
                     .ok_or_else(|| format!("bad --load '{spec}', expected URI=FILE"))?;
                 self.loads.push((uri.to_string(), path.to_string()));
-            }
-            "--load-bin" => {
-                *k += 1;
-                self.load_bins
-                    .push(argv.get(*k).ok_or("--load-bin needs a path")?.clone());
             }
             "--strategy" => {
                 *k += 1;
@@ -869,16 +836,6 @@ impl CorpusArgs {
                 engine
                     .mount_overlay(set, &delta)
                     .map_err(|e| format!("{path}: {e}"))?;
-            }
-        }
-        for path in &self.load_bins {
-            let file = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-            let store = standoff::xml::read_store(&mut std::io::BufReader::new(file))
-                .map_err(|e| format!("{path}: {e}"))?;
-            for doc in store.into_docs() {
-                // Move documents into the engine, keeping their URIs.
-                let doc_uri = doc.uri().map(|u| u.to_string());
-                engine.add_document(doc, doc_uri.as_deref());
             }
         }
         for (uri, path) in &self.loads {
@@ -1349,8 +1306,8 @@ fn cmd_serve(argv: &[String]) -> Result<ExitCode, String> {
     // Hot mount/unmount rebuilds engines from retained snapshots, so
     // serving is snapshot-only: loose documents and delta sidecars
     // have no re-mountable identity.
-    if !corpus.loads.is_empty() || !corpus.load_bins.is_empty() || !corpus.deltas.is_empty() {
-        return Err("serve supports --store snapshots only (no --load/--load-bin/--delta)".into());
+    if !corpus.loads.is_empty() || !corpus.deltas.is_empty() {
+        return Err("serve supports --store snapshots only (no --load/--delta)".into());
     }
     let mut mounts = Vec::with_capacity(corpus.stores.len());
     for path in &corpus.stores {

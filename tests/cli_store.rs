@@ -302,6 +302,28 @@ fn inspect_sections_prints_per_section_sizes() {
     assert!(!String::from_utf8_lossy(&out.stdout).contains("doc.kind"));
 }
 
+/// `inspect` on the committed v1 fixture: the file is decoded when
+/// opened, so node and annotation counts print instead of `?`.
+#[test]
+fn inspect_v1_fixture_prints_counts() {
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/corpus_v1.snap");
+    let out = bin().args(["inspect", fixture]).output().unwrap();
+    assert_success(&out, "inspect v1 fixture");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        format!(
+            "snapshot {fixture}\n\
+             \x20 format:  v1\n\
+             \x20 uri:     corpus\n\
+             \x20 layers:  3\n\
+             \x20 payload: 1146 byte(s)\n\
+             \x20 - base              195 byte(s)        3 node(s)        0 annotation(s)\n\
+             \x20 - tokens            540 byte(s)        5 node(s)        3 annotation(s)\n\
+             \x20 - entities          397 byte(s)        4 node(s)        2 annotation(s)\n"
+        )
+    );
+}
+
 #[test]
 fn legacy_flag_form_still_works() {
     let dir = tmp_dir("legacy");
