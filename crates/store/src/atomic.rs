@@ -87,6 +87,15 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
 }
 
 #[cfg(test)]
+/// Serializes this crate's tests that arm the process-global fault
+/// points with the tests that pass through them: an armed point fires
+/// in whichever test thread reaches it first.
+pub(crate) fn fault_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -100,6 +109,7 @@ mod tests {
 
     #[test]
     fn replaces_and_cleans_up_temp() {
+        let _guard = fault_lock();
         let dir = temp_dir("ok");
         let target = dir.join("data.txt");
         fs::write(&target, b"old").unwrap();
@@ -129,6 +139,7 @@ mod tests {
 
     #[test]
     fn crash_before_rename_leaves_target_untouched() {
+        let _guard = fault_lock();
         let dir = temp_dir("crash");
         let target = dir.join("data.txt");
         fs::write(&target, b"committed state").unwrap();

@@ -81,11 +81,6 @@ impl LayerDelta {
         &self.inserts
     }
 
-    /// Retract keys applied against the base layer, in application order.
-    pub fn retracts(&self) -> &[(String, i64, i64)] {
-        &self.retracts
-    }
-
     pub fn is_empty(&self) -> bool {
         self.inserts.is_empty() && self.retracts.is_empty()
     }
@@ -97,17 +92,28 @@ impl LayerDelta {
     pub fn retracted_pres(&self, layer: &Layer) -> Vec<u32> {
         let doc = layer.doc();
         let mut out: Vec<u32> = Vec::new();
-        for (name, start, end) in &self.retracts {
-            for &pre in doc.elements_named(name) {
-                if annotation_matches(layer, pre, *start, *end) {
-                    out.push(pre);
-                    out.extend(doc.descendants(pre));
-                }
+        // Roots ascend, and a subtree is the contiguous pre range
+        // `root..=root + size`: a root inside the previous range is
+        // already covered.
+        for pre in self.retracted_roots(layer) {
+            if out.last().is_none_or(|&last| pre > last) {
+                out.extend(pre..=pre + doc.size(pre));
             }
         }
-        out.sort_unstable();
-        out.dedup();
         out
+    }
+
+    /// The annotation elements this delta's retract keys match: the
+    /// roots of the hidden subtrees, sorted ascending, duplicate-free.
+    fn retracted_roots(&self, layer: &Layer) -> Vec<u32> {
+        let mut roots: Vec<u32> = self
+            .retracts
+            .iter()
+            .flat_map(|(name, start, end)| retract_matches(layer, name, *start, *end))
+            .collect();
+        roots.sort_unstable();
+        roots.dedup();
+        roots
     }
 
     /// Materialize the pending inserts as a standalone document: the
@@ -158,15 +164,6 @@ impl DeltaSet {
     /// The pending delta of `layer`, if any mutation targets it.
     pub fn layer_delta(&self, layer: &str) -> Option<&LayerDelta> {
         self.layers.get(layer).filter(|d| !d.is_empty())
-    }
-
-    /// Layer names with pending mutations, sorted.
-    pub fn layer_names(&self) -> Vec<&str> {
-        self.layers
-            .iter()
-            .filter(|(_, d)| !d.is_empty())
-            .map(|(n, _)| n.as_str())
-            .collect()
     }
 
     /// Total pending inserts across all layers.
@@ -241,20 +238,12 @@ impl DeltaSet {
                     MetricsRegistry::global().add("store.delta.retracts", 1);
                     return Ok(());
                 }
-                let key = (name, start, end);
-                if delta.retracts.contains(&key) {
+                if delta.retracts.contains(&(name.clone(), start, end)) {
                     return Err(StoreError::Delta(format!(
-                        "annotation <{} {}..{}> of layer {layer:?} is already retracted",
-                        key.0, start, end
+                        "annotation <{name} {start}..{end}> of layer {layer:?} is already retracted"
                     )));
                 }
-                let (name, start, end) = key;
-                let matched = target
-                    .doc()
-                    .elements_named(&name)
-                    .iter()
-                    .any(|&pre| annotation_matches(target, pre, start, end));
-                if !matched {
+                if retract_matches(target, &name, start, end).next().is_none() {
                     return Err(StoreError::Delta(format!(
                         "retract <{name} {start}..{end}> matches no annotation of \
                          layer {layer:?}"
@@ -338,7 +327,11 @@ pub fn compact(set: &LayerSet, delta: &DeltaSet) -> Result<LayerSet, StoreError>
     for layer in set.layers() {
         match delta.layer_delta(layer.name()) {
             None => layers.push(layer.clone()),
-            Some(d) => layers.push(compact_layer(layer, d)?),
+            Some(d) => layers.push(compact_layer(
+                layer,
+                &d.retracted_roots(layer),
+                d.inserts(),
+            )?),
         }
     }
     let out = LayerSet::from_layers(set.uri(), layers)?;
@@ -349,52 +342,42 @@ pub fn compact(set: &LayerSet, delta: &DeltaSet) -> Result<LayerSet, StoreError>
     Ok(out)
 }
 
-fn compact_layer(layer: &Layer, delta: &LayerDelta) -> Result<Layer, StoreError> {
+/// Rebuild `layer` without the subtrees rooted at `dropped` (sorted
+/// ascending) and with `inserts` appended to the layer root.
+fn compact_layer(
+    layer: &Layer,
+    dropped: &[u32],
+    inserts: &[DeltaAnnotation],
+) -> Result<Layer, StoreError> {
     let doc = layer.doc();
-    // Element pres whose subtrees the rebuild skips. Matching is
-    // re-derived here (not taken from `retracted_pres`) because the copy
-    // needs subtree *roots*, not the expanded node set.
-    let mut dropped: Vec<u32> = Vec::new();
-    for (name, start, end) in delta.retracts() {
-        for &pre in doc.elements_named(name) {
-            if annotation_matches(layer, pre, *start, *end) {
-                dropped.push(pre);
-            }
-        }
-    }
-    dropped.sort_unstable();
-    dropped.dedup();
-
-    let root = root_element_name(doc)
+    root_element_name(doc)
         .ok_or_else(|| StoreError::Delta("layer document has no root element".into()))?;
     let mut b = DocumentBuilder::with_capacity(doc.node_count());
     if let Some(uri) = doc.uri() {
         b.uri(uri);
     }
-    let mut inserted_at_root = false;
     // Walk the old document's tree nodes in pre order with an explicit
     // end-stack (the builder wants explicit end_element calls), skipping
-    // dropped subtrees whole.
+    // dropped subtrees whole. Reaching `end`, one past the last node,
+    // closes every element still open.
     let mut open: Vec<u32> = Vec::new();
     let mut pre: u32 = 1; // 0 is the document node
-    let last = doc.node_count() as u32 - 1;
-    while pre <= last {
-        while let Some(&top) = open.last() {
-            if pre > top + doc.size(top) {
-                // Closing the root element? Append the inserts first —
-                // that is where compaction and the merge-on-read sibling
-                // document agree to put them.
-                if open.len() == 1 && !inserted_at_root {
-                    for a in delta.inserts() {
-                        append_insert(&mut b, a, layer.config());
-                    }
-                    inserted_at_root = true;
+    let end = doc.node_count() as u32;
+    loop {
+        while open.last().is_some_and(|&top| pre > top + doc.size(top)) {
+            // Closing the root element? Append the inserts first —
+            // that is where compaction and the merge-on-read sibling
+            // document agree to put them.
+            if open.len() == 1 {
+                for a in inserts {
+                    append_insert(&mut b, a, layer.config());
                 }
-                b.end_element();
-                open.pop();
-            } else {
-                break;
             }
+            b.end_element();
+            open.pop();
+        }
+        if pre == end {
+            break;
         }
         if dropped.binary_search(&pre).is_ok() {
             pre += doc.size(pre) + 1;
@@ -423,32 +406,32 @@ fn compact_layer(layer: &Layer, delta: &LayerDelta) -> Result<Layer, StoreError>
         }
         pre += 1;
     }
-    while let Some(top) = open.pop() {
-        if open.is_empty() && !inserted_at_root {
-            for a in delta.inserts() {
-                append_insert(&mut b, a, layer.config());
-            }
-            inserted_at_root = true;
-        }
-        let _ = top;
-        b.end_element();
-    }
-    debug_assert!(inserted_at_root || delta.inserts().is_empty() || root.is_empty());
     let doc = b
         .finish()
         .map_err(|e| StoreError::Delta(format!("compacted document: {e}")))?;
     Layer::build(layer.name(), doc, layer.config().clone())
 }
 
-/// Does the annotation element `pre` of `layer` carry the region
-/// `[start, end]`? (Any one region equal — in the attribute
-/// representation annotations have exactly one.)
-fn annotation_matches(layer: &Layer, pre: u32, start: i64, end: i64) -> bool {
-    layer
-        .index()
-        .regions_of(pre)
+/// The annotation elements of `layer` named `name` that carry the
+/// region `[start, end]`, ascending: a binary search of the region
+/// index, whose entries are clustered on `(start, end, id)` (checked at
+/// build and at mount), for the region's run of entries, filtered by
+/// the name's id. O(log n) per key plus the run's length.
+fn retract_matches<'a>(
+    layer: &'a Layer,
+    name: &str,
+    start: i64,
+    end: i64,
+) -> impl Iterator<Item = u32> + 'a {
+    let doc = layer.doc();
+    let name = doc.names().get(name);
+    let entries = layer.index().entries();
+    let from = entries.partition_point(|e| (e.start, e.end) < (start, end));
+    entries[from..]
         .iter()
-        .any(|r| r.start == start && r.end == end)
+        .take_while(move |e| e.start == start && e.end == end)
+        .map(|e| e.id)
+        .filter(move |&pre| Some(doc.name_id(pre)) == name)
 }
 
 fn append_insert(b: &mut DocumentBuilder, a: &DeltaAnnotation, config: &StandoffConfig) {
@@ -579,6 +562,7 @@ pub fn ops_to_text(ops: &[DeltaOp]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use standoff_xml::parse_document;
 
     fn sample_set() -> LayerSet {
@@ -802,5 +786,123 @@ mod tests {
             .insert_doc(layer)
             .unwrap()
             .is_none());
+    }
+
+    /// Linear reference for `retract_matches`: every element
+    /// with the key's name whose regions include the key's region.
+    fn linear_matches(layer: &Layer, name: &str, start: i64, end: i64) -> Vec<u32> {
+        let doc = layer.doc();
+        doc.elements_named(name)
+            .iter()
+            .copied()
+            .filter(|&pre| {
+                layer
+                    .index()
+                    .regions_of(pre)
+                    .iter()
+                    .any(|r| r.start == start && r.end == end)
+            })
+            .collect()
+    }
+
+    const NAMES: [&str; 3] = ["a", "b", "c"];
+
+    /// `(name, start, len)` of an annotation or a retract key; name `c`
+    /// never occurs in a layer, so its keys match nothing.
+    type Key = (usize, i64, i64);
+
+    fn key() -> impl Strategy<Value = Key> {
+        (0usize..3, 0i64..6, 0i64..3)
+    }
+
+    /// A layer document over names `a`/`b`: top-level annotations, each
+    /// with nested child annotations and a text node. The small region
+    /// space makes duplicate regions and two names on one region common.
+    fn layer_xml(tops: &[(Key, Vec<Key>)]) -> String {
+        let elem = |(n, s, l): Key| format!(r#"{} start="{s}" end="{}""#, NAMES[n % 2], s + l);
+        let mut xml = String::from("<layer>");
+        for (top, children) in tops {
+            xml.push_str(&format!("<{}>", elem(*top)));
+            for child in children {
+                xml.push_str(&format!("<{}>t</{}>", elem(*child), NAMES[child.0 % 2]));
+            }
+            xml.push_str(&format!("</{}>", NAMES[top.0 % 2]));
+        }
+        xml.push_str("</layer>");
+        xml
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The region-index matcher agrees with the linear reference on
+        /// every key — built and mounted layers alike — and so do
+        /// `retracted_pres` and `compact`.
+        #[test]
+        fn indexed_matcher_equals_linear_reference(
+            tops in prop::collection::vec(
+                (key(), prop::collection::vec(key(), 0..3)),
+                0..8,
+            ),
+            keys in prop::collection::vec(key(), 0..8),
+            inserts in prop::collection::vec(key(), 0..2),
+        ) {
+            let base = parse_document("<t>0123456789</t>").unwrap();
+            let mut set = LayerSet::build("mem://prop", base, StandoffConfig::default()).unwrap();
+            let doc = parse_document(&layer_xml(&tops)).unwrap();
+            set.add_layer("ann", doc, StandoffConfig::default()).unwrap();
+            let mut bytes = Vec::new();
+            crate::snapshot::write_snapshot(&set, &mut bytes).unwrap();
+            let mounted = crate::mount::Snapshot::from_bytes(bytes)
+                .unwrap()
+                .to_layer_set()
+                .unwrap();
+            let keys: Vec<(&str, i64, i64)> =
+                keys.iter().map(|&(n, s, l)| (NAMES[n], s, s + l)).collect();
+            for set in [&set, &mounted] {
+                let layer = set.layer("ann").unwrap();
+                for &(name, start, end) in &keys {
+                    let indexed: Vec<u32> = retract_matches(layer, name, start, end).collect();
+                    prop_assert_eq!(indexed, linear_matches(layer, name, start, end));
+                }
+            }
+
+            let layer = set.layer("ann").unwrap();
+            let mut delta = DeltaSet::new();
+            for &(name, start, end) in &keys {
+                // Keys that match nothing, or repeat, are rejected.
+                let _ = delta.apply(retract("ann", name, start, end), &set);
+            }
+            for &(n, s, l) in &inserts {
+                delta.apply(insert("ann", NAMES[n], s, s + l), &set).unwrap();
+            }
+            let Some(d) = delta.layer_delta("ann") else {
+                return Ok(());
+            };
+            let mut roots: Vec<u32> = d
+                .retracts
+                .iter()
+                .flat_map(|(name, start, end)| linear_matches(layer, name, *start, *end))
+                .collect();
+            roots.sort_unstable();
+            roots.dedup();
+            let doc = layer.doc();
+            let mut hidden: Vec<u32> = Vec::new();
+            for &pre in &roots {
+                hidden.push(pre);
+                hidden.extend(doc.descendants(pre));
+            }
+            hidden.sort_unstable();
+            hidden.dedup();
+            prop_assert_eq!(d.retracted_pres(layer), hidden);
+
+            let reference = compact_layer(layer, &roots, d.inserts()).unwrap();
+            let compacted = compact(&set, &delta).unwrap();
+            let xml = |doc: &Document| standoff_xml::serialize_document(doc, Default::default());
+            prop_assert_eq!(
+                xml(compacted.layer("ann").unwrap().doc()),
+                xml(reference.doc())
+            );
+        }
     }
 }

@@ -30,6 +30,9 @@ pub enum StoreError {
         /// Why, e.g. `"checksum mismatch: stored 0x1234, computed 0x5678"`.
         detail: String,
     },
+    /// A delta sidecar could not be read, replayed or written; the
+    /// message names the file or journal record.
+    Sidecar(String),
 }
 
 impl StoreError {
@@ -53,6 +56,7 @@ impl fmt::Display for StoreError {
             StoreError::Corrupt { section, detail } => {
                 write!(f, "corrupt {section}: {detail}")
             }
+            StoreError::Sidecar(msg) => f.write_str(msg),
         }
     }
 }

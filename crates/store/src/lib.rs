@@ -32,6 +32,8 @@
 //!   committed batch survives SIGKILL and recovery replays exactly the
 //!   committed prefix (torn tails are truncated; damaged committed
 //!   records are categorized [`StoreError::Corrupt`]).
+//!   [`sidecar`] is the one recovery protocol (checkpoint, then the
+//!   journal records above its mark) for every reader and the writer.
 //!
 //! `standoff_xquery::Engine::mount_snapshot` / `mount_store` mounts the
 //! layers so that `doc("uri")`, `doc("uri#layer")` and
@@ -43,6 +45,7 @@ pub mod delta;
 pub mod error;
 pub mod layer;
 pub mod mount;
+pub mod sidecar;
 pub mod snapshot;
 pub mod wal;
 
@@ -51,5 +54,6 @@ pub use delta::{compact, ops_to_text, parse_ops, DeltaAnnotation, DeltaOp, Delta
 pub use error::StoreError;
 pub use layer::{Layer, LayerSet, BASE_LAYER};
 pub use mount::{Snapshot, VerifyReport};
+pub use sidecar::{checkpoint_marker, checkpointed_seq, wal_path};
 pub use snapshot::{save_snapshot, write_snapshot, LayerInfo, SectionInfo, SnapshotInfo};
-pub use wal::{checkpoint_marker, checkpointed_seq, wal_path, DeltaWal, WalRecord, WalScan};
+pub use wal::{DeltaWal, WalRecord, WalScan};

@@ -1,11 +1,10 @@
 //! Delta write-ahead log.
 //!
-//! A sidecar (`corpus.delta`) is a *checkpoint*: the full overlay state
-//! as plain-text ops. The WAL (`corpus.delta.wal`) is an append-only
-//! journal of the batches applied *since* that checkpoint. A writer
-//! appends + fsyncs the batch before making it visible, so a batch
-//! whose append returned is durable across SIGKILL; readers replay
-//! checkpoint + journal to reconstruct the committed state.
+//! The WAL (`corpus.delta.wal`) is an append-only journal of the
+//! batches applied since the sidecar's checkpoint ([`crate::sidecar`]
+//! replays the two). A writer appends + fsyncs the batch before making
+//! it visible, so a batch whose append returned is durable across
+//! SIGKILL.
 //!
 //! ## On-disk format
 //!
@@ -35,18 +34,6 @@
 //!   non-monotonic `seq`, is **corruption** — data that was once
 //!   committed is damaged — and surfaces as
 //!   [`StoreError::Corrupt`], never a silent truncation.
-//!
-//! ## Checkpoint high-water mark
-//!
-//! Folding the journal into a rewritten sidecar has an unavoidable
-//! window: the checkpoint rename can land while the journal truncation
-//! hasn't — and replaying already-folded batches is not idempotent
-//! (re-retracts error, re-inserts duplicate). Checkpoint writers
-//! therefore stamp the sidecar with [`checkpoint_marker`] (an ops-text
-//! comment recording the last folded `seq`), recovery skips journal
-//! records with `seq <=` [`checkpointed_seq`], and writers call
-//! [`DeltaWal::ensure_seq_above`] with that mark so post-checkpoint
-//! batches always sequence above it.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -92,33 +79,6 @@ pub struct DeltaWal {
     next_seq: u64,
     end: u64,
     sync: bool,
-}
-
-/// The journal path belonging to a sidecar: `<sidecar>.wal`.
-pub fn wal_path(sidecar: &Path) -> PathBuf {
-    let mut name = sidecar.as_os_str().to_os_string();
-    name.push(".wal");
-    PathBuf::from(name)
-}
-
-/// The sidecar comment line a checkpoint writer prepends to record the
-/// last journal `seq` folded into the checkpoint (`parse_ops` skips
-/// `#` lines, so old readers are unaffected).
-pub fn checkpoint_marker(seq: u64) -> String {
-    format!("# wal-checkpoint-seq {seq}\n")
-}
-
-/// The checkpoint high-water mark recorded in sidecar ops text, or 0
-/// if none: journal records with `seq` at or below it are already part
-/// of the checkpoint and must not replay again.
-pub fn checkpointed_seq(sidecar_text: &str) -> u64 {
-    sidecar_text
-        .lines()
-        .map(str::trim)
-        .take_while(|l| l.is_empty() || l.starts_with('#'))
-        .find_map(|l| l.strip_prefix("# wal-checkpoint-seq "))
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0)
 }
 
 fn read_u32(buf: &[u8], at: usize) -> u32 {
@@ -297,13 +257,13 @@ impl DeltaWal {
 
     /// The highest sequence number this handle has seen or will reuse
     /// (0 on an empty journal): the value a checkpoint writer records
-    /// via [`checkpoint_marker`].
+    /// via [`crate::sidecar::checkpoint_marker`].
     pub fn last_seq(&self) -> u64 {
         self.next_seq - 1
     }
 
     /// Raise the next sequence number above `seq`. Checkpoint-aware
-    /// writers call this with [`checkpointed_seq`] after opening, so a
+    /// writers call this with [`crate::sidecar::checkpointed_seq`] after opening, so a
     /// journal truncated by an earlier checkpoint never re-issues
     /// sequence numbers the checkpoint already covers.
     pub fn ensure_seq_above(&mut self, seq: u64) {
@@ -473,22 +433,6 @@ mod tests {
         assert_eq!(recovered[0].ops, "insert tokens w 6 9\n");
         assert_eq!(recovered[0].seq, 2);
         cleanup(&path);
-    }
-
-    #[test]
-    fn checkpoint_marker_round_trips_and_defaults_to_zero() {
-        assert_eq!(checkpointed_seq(&checkpoint_marker(17)), 17);
-        assert_eq!(
-            checkpointed_seq(&format!("{}insert tokens w 0 5\n", checkpoint_marker(3))),
-            3
-        );
-        assert_eq!(checkpointed_seq("insert tokens w 0 5\n"), 0);
-        // Only the leading comment block is scanned: ops text that
-        // merely *contains* the phrase later doesn't count.
-        assert_eq!(
-            checkpointed_seq("insert tokens w 0 5\n# wal-checkpoint-seq 9\n"),
-            0
-        );
     }
 
     #[test]

@@ -80,14 +80,9 @@ impl WritableEngine {
     /// the previously attached handle. Once attached, every successful
     /// [`WritableEngine::apply`] journals its batch durably before the
     /// swap; the caller is responsible for having replayed the WAL into
-    /// the mounted delta first (see `DeltaWal::open`).
+    /// the mounted delta first (see `standoff_store::sidecar::open_writer`).
     pub fn set_wal(&mut self, wal: Option<DeltaWal>) -> Option<DeltaWal> {
         std::mem::replace(&mut self.wal, wal)
-    }
-
-    /// The attached write-ahead log, if any.
-    pub fn wal(&self) -> Option<&DeltaWal> {
-        self.wal.as_ref()
     }
 
     /// Reset the attached WAL to its empty (header-only) state. Call

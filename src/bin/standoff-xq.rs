@@ -60,15 +60,16 @@
 //! **2** usage or corpus-loading errors (bad flags, missing files,
 //! unreadable snapshots).
 
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use standoff::core::{StandoffConfig, StandoffStrategy};
 use standoff::serve::{self, ServeMount, ServeOptions, Server};
+use standoff::store::sidecar::{checkpoint, load_delta, open_writer, SidecarLog};
 use standoff::store::{
-    atomic_write, ops_to_text, parse_ops, save_snapshot, wal_path, DeltaSet, DeltaWal, LayerSet,
-    Snapshot, StoreError, WalRecord,
+    ops_to_text, parse_ops, save_snapshot, DeltaSet, LayerSet, Snapshot, StoreError,
 };
 use standoff::xquery::{Engine, EngineOptions, Executor, Governance};
 
@@ -250,72 +251,6 @@ fn cmd_inspect(argv: &[String]) -> Result<ExitCode, String> {
 
 // ---- annotate / compact ----
 
-/// Replay delta sidecar files against a layer set, in order. Each
-/// sidecar is a checkpoint; batches journaled after it live in
-/// `<sidecar>.wal` and replay on top (read-only scan: the committed
-/// prefix applies, a torn tail from a crashed writer is ignored —
-/// the next writer-mode open truncates it). A sidecar path may name a
-/// not-yet-checkpointed delta (journal-only so far) as long as its WAL
-/// exists.
-fn load_delta(sidecars: &[&String], set: &LayerSet) -> Result<DeltaSet, String> {
-    let mut delta = DeltaSet::new();
-    for path in sidecars {
-        let wal_file = wal_path(std::path::Path::new(path));
-        let have_wal = wal_file.exists();
-        let checkpointed = apply_checkpoint(&mut delta, set, path, have_wal)?;
-        if have_wal {
-            let scan =
-                DeltaWal::scan(&wal_file).map_err(|e| format!("{}: {e}", wal_file.display()))?;
-            apply_journal(&mut delta, set, &wal_file, &scan.records, checkpointed)?;
-        }
-    }
-    Ok(delta)
-}
-
-/// The checkpoint half of a sidecar replay: apply the sidecar's ops to
-/// `delta` and return its journal mark. A missing sidecar is an error
-/// unless `missing_ok` (nothing checkpointed yet, mark 0).
-fn apply_checkpoint(
-    delta: &mut DeltaSet,
-    set: &LayerSet,
-    path: &str,
-    missing_ok: bool,
-) -> Result<u64, String> {
-    match std::fs::read_to_string(path) {
-        Ok(text) => {
-            let ops = parse_ops(&text).map_err(|e| format!("{path}: {e}"))?;
-            delta
-                .apply_all(ops, set)
-                .map_err(|e| format!("{path}: {e}"))?;
-            Ok(standoff::store::checkpointed_seq(&text))
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound && missing_ok => Ok(0),
-        Err(e) => Err(format!("cannot read {path}: {e}")),
-    }
-}
-
-/// The journal half of a sidecar replay: apply the committed WAL
-/// records above the checkpoint mark. Records at or below it are
-/// already part of the sidecar text (a checkpoint landed but its
-/// journal truncation didn't): replaying them would double-apply.
-fn apply_journal(
-    delta: &mut DeltaSet,
-    set: &LayerSet,
-    wal_file: &std::path::Path,
-    records: &[WalRecord],
-    checkpointed: u64,
-) -> Result<(), String> {
-    for record in records.iter().filter(|r| r.seq > checkpointed) {
-        let at = |e: standoff::store::StoreError| {
-            format!("{} record {}: {e}", wal_file.display(), record.seq)
-        };
-        delta
-            .apply_all(parse_ops(&record.ops).map_err(at)?, set)
-            .map_err(at)?;
-    }
-    Ok(())
-}
-
 /// `annotate`: apply a batch of insert/retract ops to a snapshot's
 /// delta sidecar. The snapshot file itself is never touched — the ops
 /// land in the sidecar (and its WAL), which `query`/`stats`/`compact`
@@ -369,16 +304,7 @@ fn cmd_annotate(argv: &[String]) -> Result<ExitCode, String> {
     let set = snapshot
         .to_layer_set()
         .map_err(|e| format!("{store}: {e}"))?;
-    // Recover pending state: sidecar checkpoint first (it may not exist
-    // yet), then committed WAL batches on top. Writer-mode open also
-    // truncates any torn tail a crashed writer left behind.
-    let mut delta = DeltaSet::new();
-    let checkpointed = apply_checkpoint(&mut delta, &set, &sidecar, true)?;
-    let wal_file = wal_path(std::path::Path::new(&sidecar));
-    let (mut wal, replayed) =
-        DeltaWal::open(&wal_file).map_err(|e| format!("{}: {e}", wal_file.display()))?;
-    wal.ensure_seq_above(checkpointed);
-    apply_journal(&mut delta, &set, &wal_file, &replayed, checkpointed)?;
+    let (mut wal, mut delta) = open_writer(Path::new(&sidecar), &set).map_err(|e| e.to_string())?;
     let text = read_input(&ops_path)?;
     let ops = parse_ops(&text).map_err(|e| format!("{ops_path}: {e}"))?;
     let applied = delta
@@ -392,29 +318,19 @@ fn cmd_annotate(argv: &[String]) -> Result<ExitCode, String> {
         .map_err(|e| format!("{store}: {e}"))?;
     if journal {
         // Fast path: one fsync'd append; the sidecar checkpoint is
-        // rewritten on the next default-mode annotate or compact.
+        // rewritten on the next default-mode annotate.
         if applied > 0 {
             wal.append(&ops_to_text(&ops))
-                .map_err(|e| format!("{}: {e}", wal_file.display()))?;
+                .map_err(|e| format!("{}: {e}", wal.path().display()))?;
         }
         eprintln!(
             "# journaled {applied} op(s); pending {} insert(s), {} retract(s) -> {}",
             delta.insert_count(),
             delta.retract_count(),
-            wal_file.display(),
+            wal.path().display(),
         );
     } else {
-        // Checkpoint: atomically rewrite the sidecar with the full
-        // pending state (stamped with the journal high-water mark),
-        // then truncate the journal it subsumes. A crash between the
-        // two is safe: the mark tells recovery the surviving journal
-        // records are already folded in.
-        let mut text = standoff::store::checkpoint_marker(wal.last_seq());
-        text.push_str(&ops_to_text(&delta.to_ops()));
-        atomic_write(std::path::Path::new(&sidecar), text.as_bytes())
-            .map_err(|e| format!("cannot write {sidecar}: {e}"))?;
-        wal.truncate()
-            .map_err(|e| format!("{}: {e}", wal_file.display()))?;
+        checkpoint(Path::new(&sidecar), &mut wal, &delta).map_err(|e| e.to_string())?;
         eprintln!(
             "# applied {applied} op(s); pending {} insert(s), {} retract(s) -> {sidecar}",
             delta.insert_count(),
@@ -461,8 +377,7 @@ fn cmd_compact(argv: &[String]) -> Result<ExitCode, String> {
     let set = snapshot
         .to_layer_set()
         .map_err(|e| format!("{store}: {e}"))?;
-    let refs: Vec<&String> = sidecars.iter().collect();
-    let delta = load_delta(&refs, &set)?;
+    let delta = load_delta(&sidecars, &set).map_err(|e| e.to_string())?;
     let folded = standoff::store::compact(&set, &delta).map_err(|e| format!("{store}: {e}"))?;
     save_snapshot(&folded, &out).map_err(|e| format!("{out}: {e}"))?;
     let annotations: usize = folded.layers().iter().map(|l| l.annotation_count()).sum();
@@ -502,6 +417,7 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Per-sidecar facts gathered by `verify`.
+#[derive(Default)]
 struct DeltaCheck {
     path: String,
     ops: usize,
@@ -574,79 +490,44 @@ fn cmd_verify(argv: &[String]) -> Result<ExitCode, String> {
     let mut delta_checks: Vec<DeltaCheck> = Vec::new();
     let mut delta = DeltaSet::new();
     for sidecar in &sidecars {
-        let wal_file = wal_path(std::path::Path::new(sidecar));
-        let have_wal = wal_file.exists();
+        let log = SidecarLog::read(Path::new(sidecar)).map_err(|e| e.to_string())?;
         let mut check = DeltaCheck {
             path: sidecar.clone(),
-            ops: 0,
-            checkpoint_seq: 0,
-            wal_records: 0,
-            wal_skipped: 0,
-            wal_torn_tail: false,
+            checkpoint_seq: log.checkpoint_seq,
+            wal_skipped: log.skipped(),
+            ..DeltaCheck::default()
         };
-        match std::fs::read_to_string(sidecar) {
-            Ok(text) => {
-                check.checkpoint_seq = standoff::store::checkpointed_seq(&text);
-                match parse_ops(&text) {
-                    Ok(ops) => {
-                        check.ops = ops.len();
-                        if let Some(set) = &set {
-                            if let Err(e) = delta.apply_all(ops, set) {
-                                findings.push(format!("{sidecar}: {e}"));
-                            }
-                        }
-                    }
-                    Err(e) => findings.push(format!("{sidecar}: {e}")),
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound && have_wal => {
-                notes.push(format!("{sidecar}: no checkpoint yet (journal-only delta)"));
-            }
-            Err(e) => return Err(format!("cannot read {sidecar}: {e}")),
+        if log.checkpoint.is_none() {
+            notes.push(format!("{sidecar}: no checkpoint yet (journal-only delta)"));
         }
-        if have_wal {
-            match DeltaWal::scan(&wal_file) {
-                Ok(scan) => {
-                    check.wal_torn_tail = scan.torn_tail;
-                    if scan.torn_tail {
-                        notes.push(format!(
-                            "{}: torn tail after {} committed record(s) — an append \
-                             died mid-write; the batch was never committed and the \
-                             next writer truncates it",
-                            wal_file.display(),
-                            scan.records.len(),
-                        ));
-                    }
-                    for record in &scan.records {
-                        if record.seq <= check.checkpoint_seq {
-                            // Already folded into the checkpoint (the
-                            // checkpoint landed, its truncation didn't).
-                            check.wal_skipped += 1;
-                            continue;
-                        }
-                        check.wal_records += 1;
-                        match parse_ops(&record.ops) {
-                            Ok(ops) => {
-                                if let Some(set) = &set {
-                                    if let Err(e) = delta.apply_all(ops, set) {
-                                        findings.push(format!(
-                                            "{} record {}: {e}",
-                                            wal_file.display(),
-                                            record.seq
-                                        ));
-                                    }
-                                }
-                            }
-                            Err(e) => findings.push(format!(
-                                "{} record {}: {e}",
-                                wal_file.display(),
-                                record.seq
-                            )),
-                        }
-                    }
+        if let Some(scan) = log.journal.as_ref().ok().filter(|scan| scan.torn_tail) {
+            check.wal_torn_tail = true;
+            notes.push(format!(
+                "{}: torn tail after {} committed record(s) — an append \
+                 died mid-write; the batch was never committed and the \
+                 next writer truncates it",
+                log.wal.display(),
+                scan.records.len(),
+            ));
+        }
+        for (k, (at, ops)) in log.batches().enumerate() {
+            let is_checkpoint = k == 0 && log.checkpoint.is_some();
+            check.wal_records += usize::from(!is_checkpoint);
+            let replayed = parse_ops(ops).and_then(|ops| {
+                if is_checkpoint {
+                    check.ops = ops.len();
                 }
-                Err(e) => findings.push(format!("{}: {e}", wal_file.display())),
+                match &set {
+                    Some(set) => delta.apply_all(ops, set).map(drop),
+                    None => Ok(()),
+                }
+            });
+            if let Err(e) = replayed {
+                findings.push(format!("{at}: {e}"));
             }
+        }
+        if let Err(e) = &log.journal {
+            findings.push(format!("{}: {e}", log.wal.display()));
         }
         delta_checks.push(check);
     }
@@ -832,7 +713,7 @@ impl CorpusArgs {
                 let set = snapshot
                     .to_layer_set()
                     .map_err(|e| format!("{path}: {e}"))?;
-                let delta = load_delta(&sidecars, &set)?;
+                let delta = load_delta(&sidecars, &set).map_err(|e| e.to_string())?;
                 engine
                     .mount_overlay(set, &delta)
                     .map_err(|e| format!("{path}: {e}"))?;

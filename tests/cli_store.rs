@@ -166,6 +166,91 @@ fn retag_survives_checkpoint() {
     assert_eq!(count(r#"count(doc("corpus#tokens")//w)"#), "4");
 }
 
+/// `verify --delta --json` over a sidecar that went through the whole
+/// recovery protocol: two journaled batches (one retracts), a
+/// checkpoint that landed while its journal truncation did not (the
+/// pre-checkpoint journal is restored after it), one more journaled
+/// batch sequenced above the mark, and a torn final append.
+#[test]
+fn verify_json_reports_checkpoint_window_and_torn_tail() {
+    let (dir, snap) = obs_snapshot("verify-delta");
+    let sidecar = dir.join("corpus.delta").to_string_lossy().into_owned();
+    let wal = format!("{sidecar}.wal");
+    let _ = std::fs::remove_file(&sidecar);
+    let _ = std::fs::remove_file(&wal);
+    let annotate = |args: &[&str]| {
+        let out = bin()
+            .args(["annotate", "--store", &snap, "--delta", &sidecar])
+            .args(args)
+            .output()
+            .unwrap();
+        assert_success(&out, &format!("annotate {args:?}"));
+    };
+    let b1 = write(&dir, "b1.ops", "insert tokens ner 0 4 class=PER\n");
+    let b2 = write(
+        &dir,
+        "b2.ops",
+        "retract tokens w 6 8\ninsert tokens ner 10 12 class=PER\n",
+    );
+    annotate(&["--journal", &b1]);
+    annotate(&["--journal", &b2]);
+    let journal = std::fs::read(&wal).unwrap();
+    annotate(&[&write(
+        &dir,
+        "b3.ops",
+        "insert tokens ner 0 12 class=EVENT\n",
+    )]);
+    std::fs::write(&wal, &journal).unwrap();
+    annotate(&[
+        "--journal",
+        &write(&dir, "b4.ops", "retract tokens w 0 4\n"),
+    ]);
+    let len = std::fs::metadata(&wal).unwrap().len();
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&wal)
+        .unwrap()
+        .set_len(len - 5)
+        .unwrap();
+
+    let out = bin()
+        .args(["verify", &snap, "--delta", &sidecar, "--json"])
+        .output()
+        .unwrap();
+    assert_success(&out, "verify --delta --json");
+    let sections = standoff::store::Snapshot::open(&snap)
+        .unwrap()
+        .verify()
+        .unwrap()
+        .sections_checked;
+    let expected = format!(
+        "{{\"snapshot\":\"{snap}\",\"version\":4,\"checksummed\":true,\"layers\":2,\
+         \"sections_checked\":{sections},\"deltas\":[{{\"path\":\"{sidecar}\",\"ops\":4,\
+         \"checkpoint_seq\":2,\"wal_records\":0,\"wal_skipped\":2,\"wal_torn_tail\":true}}],\
+         \"notes\":[\"{wal}: torn tail after 2 committed record(s) — an append died \
+         mid-write; the batch was never committed and the next writer truncates it\"],\
+         \"findings\":[],\"status\":\"clean\"}}"
+    );
+    assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), expected);
+
+    let query = |q: &str| {
+        let out = bin()
+            .args(["query", "--store", &snap, "--delta", &sidecar, "-q", q])
+            .output()
+            .unwrap();
+        assert_success(&out, q);
+        String::from_utf8_lossy(&out.stdout).trim().to_string()
+    };
+    assert_eq!(
+        query(r#"for $w in doc("corpus#tokens")//w return string($w/@word)"#),
+        "Alice Bob"
+    );
+    assert_eq!(
+        query(r#"for $n in doc("corpus#tokens")//ner return string($n/@class)"#),
+        "PER PER EVENT"
+    );
+}
+
 /// Build the two-layer snapshot once for the observability smoke tests.
 fn obs_snapshot(tag: &str) -> (PathBuf, String) {
     let dir = tmp_dir(tag);

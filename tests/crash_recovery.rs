@@ -14,6 +14,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use standoff::core::fault::{self, FaultAction};
 use standoff::core::StandoffConfig;
+use standoff::store::sidecar::load_delta;
 use standoff::store::{
     checkpoint_marker, checkpointed_seq, ops_to_text, parse_ops, save_snapshot, wal_path, DeltaSet,
     DeltaWal, LayerSet, Snapshot, StoreError,
@@ -86,24 +87,10 @@ fn answers_after(n: usize) -> Vec<String> {
         .collect()
 }
 
-/// Recover sidecar + WAL the way `standoff-xq` readers do and answer
-/// the probes.
+/// Recover sidecar + WAL through the replay every `standoff-xq
+/// --delta` reader runs and answer the probes.
 fn recovered_answers(set: &LayerSet, sidecar: &Path) -> Result<Vec<String>, String> {
-    let mut delta = DeltaSet::new();
-    let mut checkpointed = 0;
-    if sidecar.exists() {
-        let text = std::fs::read_to_string(sidecar).map_err(|e| e.to_string())?;
-        checkpointed = checkpointed_seq(&text);
-        delta
-            .apply_all(parse_ops(&text).map_err(|e| e.to_string())?, set)
-            .map_err(|e| e.to_string())?;
-    }
-    let scan = DeltaWal::scan(&wal_path(sidecar)).map_err(|e| e.to_string())?;
-    for record in scan.records.iter().filter(|r| r.seq > checkpointed) {
-        delta
-            .apply_all(parse_ops(&record.ops).map_err(|e| e.to_string())?, set)
-            .map_err(|e| e.to_string())?;
-    }
+    let delta = load_delta(&[sidecar], set).map_err(|e| e.to_string())?;
     let mut engine = Engine::new();
     engine
         .mount_overlay(set.clone(), &delta)
